@@ -176,6 +176,10 @@ def resolve_options(args: argparse.Namespace) -> dict:
             raise ConfigError(f"--{key.replace('_', '-')} must be at least 1")
     if options["lr"] <= 0:
         raise ConfigError("--lr must be positive")
+    try:
+        TrainConfig(options["lr"], options["batch_size"])
+    except ValueError as exc:
+        raise ConfigError(f"--lr: {exc}") from exc
     if options["seed"] < 0 or options["init_seed"] < 0:
         raise ConfigError("seeds must be non-negative")
     return options

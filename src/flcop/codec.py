@@ -3,6 +3,7 @@ min/max quantisation, with exact bit accounting and a binary wire layout."""
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -49,19 +50,40 @@ def kept_count(n: int, drop_percent: int) -> int:
 
 
 def sparsify(layer: np.ndarray, drop_percent: int) -> np.ndarray:
-    """Indices of the largest-magnitude entries, ties broken by lower index.
+    """Indices of the k = ceil(n * (100 - drop_percent) / 100) largest-magnitude
+    entries, returned sorted ascending.
 
-    Keeps ceil(n * (100 - drop_percent) / 100) entries; returned sorted
-    ascending.
+    Selection is by threshold: one partition finds the k-th largest float64
+    magnitude, every entry above it is kept, and entries equal to it fill the
+    remaining places lowest index first. NaN ranks below every number, ties
+    among NaNs again going to the lower index. When k == n every index is
+    returned without reading the values.
     """
     layer = np.asarray(layer)
     if layer.size == 0:
         raise ValueError("cannot sparsify an empty layer")
     if not 0 <= drop_percent <= 50:
         raise ValueError(f"drop_percent must lie in [0, 50], got {drop_percent}")
-    k = kept_count(layer.size, drop_percent)
-    order = np.argsort(-np.abs(layer.astype(np.float64)), kind="stable")
-    return np.sort(order[:k])
+    n = layer.size
+    k = kept_count(n, drop_percent)
+    if k == n:
+        return np.arange(n)
+    # negated magnitudes: ascending order is descending magnitude, and the
+    # partition's NaN-last order ranks NaN below every number
+    key = np.abs(layer.reshape(-1), dtype=np.float64)
+    np.negative(key, out=key)
+    thr = np.partition(key, k - 1)[k - 1]
+    if math.isnan(thr):
+        # fewer than k numbers: keep them all, then NaNs lowest index first
+        kept = ~np.isnan(key)
+        kept[np.flatnonzero(~kept)[: k - np.count_nonzero(kept)]] = True
+        return np.flatnonzero(kept)
+    kept = np.flatnonzero(key <= thr)
+    # more than k entries reach the threshold: drop the highest-index ties
+    surplus = kept.size - k
+    if surplus:
+        kept = np.delete(kept, np.flatnonzero(key[kept] == thr)[-surplus:])
+    return kept
 
 
 def quantize(layer: np.ndarray, kept: np.ndarray, bits: int) -> LayerPayload:

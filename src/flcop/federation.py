@@ -17,7 +17,7 @@ import numpy as np
 
 from .codec import LayerCompressionSpec, dequantize, quantize, sparsify
 from .data import ClientPartition, LabeledDataset
-from .nn import ModelParams, ModelSpec, TrainConfig, build_model, count_correct, sgd_step
+from .nn import ModelParams, ModelSpec, NumericError, TrainConfig, build_model, count_correct, sgd_step
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,8 @@ def run_federated_training(
 
     The local-iteration budget per client is one epoch over its shard times
     `epochs`; the final round is shortened so the budget is met exactly.
-    Deterministic given (cfg, part, seed).
+    Deterministic given (cfg, part, seed). Raises NumericError when training
+    or a local model about to be uploaded holds non-finite values.
     """
     if part.n_clients != cfg.n_clients:
         raise ValueError("partition size does not match n_clients")
@@ -164,6 +165,9 @@ def run_federated_training(
                 local = sgd_step(local, shard.take(streams[k].next_batch()), cfg.train)
             arrays = []
             for i, arr in enumerate(local.arrays):
+                # sparsify would silently drop a NaN, so check before encoding
+                if not np.isfinite(arr).all():
+                    raise NumericError(i, f"non-finite values in parameter array {i} before upload")
                 layer_spec = cfg.layer_specs[i]
                 kept = sparsify(arr, layer_spec.drop_percent)
                 payload = quantize(arr, kept, layer_spec.bits)

@@ -121,6 +121,10 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate >= 0:
             raise ValueError("learning_rate must be non-negative")
+        # sgd_step applies the rate in the parameter dtype, float32 by default
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.float32(self.learning_rate)):
+                raise ValueError(f"learning_rate {self.learning_rate} is not finite in float32")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
 

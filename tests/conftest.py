@@ -4,10 +4,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flcop import data
+from flcop import codec, data
 from flcop.nn import TrainConfig
 from flcop.objectives import EvalEnv
 from flcop import nn
+
+
+def argsort_sparsify(layer, drop_percent: int) -> np.ndarray:
+    """Reference top-k selection by a full stable sort of the negated
+    magnitudes: ties go to the lower index and NaN sorts last."""
+    layer = np.asarray(layer)
+    k = codec.kept_count(layer.size, drop_percent)
+    order = np.argsort(-np.abs(layer.astype(np.float64)), kind="stable")
+    return np.sort(order[:k])
 
 
 def make_synthetic(n: int, seed: int) -> data.LabeledDataset:

@@ -81,6 +81,12 @@ def test_odd_population_rejected(fixture_mnist_dir):
     assert run_cli("optimize", "--mnist-dir", fixture_mnist_dir, "--pop", 7) == 1
 
 
+def test_learning_rate_overflowing_float32_rejected(fixture_mnist_dir, capsys):
+    for lr in ("1e39", "inf", "nan"):
+        assert run_cli("optimize", "--mnist-dir", fixture_mnist_dir, "--lr", lr) == 1
+        assert "--lr" in capsys.readouterr().err
+
+
 def test_missing_data_dir_is_data_error(tmp_path, monkeypatch):
     monkeypatch.delenv("FLCOP_MNIST_DIR", raising=False)
     assert run_cli("baseline", "--mnist-dir", tmp_path / "nope") == 2

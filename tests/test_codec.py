@@ -3,8 +3,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flcop import codec
+from conftest import argsort_sparsify
 
 
 def test_sparsify_keeps_top_magnitude():
@@ -17,6 +21,42 @@ def test_sparsify_zero_drop_keeps_everything():
 
 def test_sparsify_tie_breaks_to_lower_index():
     assert list(codec.sparsify(np.array([3.0, 3.0, 3.0]), 34)) == [0, 1]
+
+
+# few distinct values, so ties at the threshold are the rule, plus the
+# entries whose order is easiest to get wrong: signed zeros, infinities, NaN
+_TIE_HEAVY = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def _layers(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = np.dtype(dtype).itemsize * 8
+    elements = st.one_of(_TIE_HEAVY, st.floats(width=width))
+    return draw(hnp.arrays(dtype, st.integers(1, 5000), elements=elements))
+
+
+@settings(max_examples=150, deadline=None)
+@given(layer=_layers())
+def test_sparsify_matches_stable_argsort(layer):
+    for mu in range(51):
+        kept = codec.sparsify(layer, mu)
+        assert kept.size == codec.kept_count(layer.size, mu)
+        assert np.array_equal(kept, argsort_sparsify(layer, mu))
+
+
+def test_sparsify_conv_sized_layer_matches_stable_argsort():
+    rng = np.random.default_rng(802816)
+    # rounding to a coarse grid leaves many ties at every threshold
+    layer = np.round(rng.standard_normal(802816), 2).astype(np.float32)
+    for mu in (1, 25, 50):
+        assert np.array_equal(codec.sparsify(layer, mu), argsort_sparsify(layer, mu))
+
+
+def test_sparsify_nan_ranks_last():
+    layer = np.array([np.nan, 1.0, np.nan, 0.0, -2.0])
+    assert list(codec.sparsify(layer, 40)) == [1, 3, 4]
+    assert list(codec.sparsify(layer, 20)) == [0, 1, 3, 4]
 
 
 def test_sparsify_rejects_empty_and_bad_percent():

@@ -6,7 +6,7 @@ import pytest
 from flcop import codec, federation, nn
 from flcop.codec import LayerCompressionSpec
 from flcop.data import partition
-from conftest import make_synthetic
+from conftest import argsort_sparsify, make_synthetic
 
 TOY = nn.ModelSpec("toy_fc", (784,), (nn.Dense(784, 8), nn.Dense(8, 10)))
 
@@ -205,3 +205,36 @@ def test_run_rejects_bad_inputs():
         federation.run_federated_training(_config(), part, empty, seed=0)
     with pytest.raises(ValueError):
         federation.FLRunConfig(TOY, 4, 5, 1, tuple(LayerCompressionSpec(8, 0) for _ in range(4)), nn.TrainConfig(), 1)
+
+
+def _lossy_fc_run():
+    """Genome [2,1,50,10,25,0,8,16,8,16] on the fc model over a tiny partition."""
+    train = make_synthetic(256, 15)
+    test = make_synthetic(64, 16)
+    specs = tuple(LayerCompressionSpec(b, mu) for b, mu in zip((8, 16, 8, 16), (50, 10, 25, 0)))
+    cfg = federation.FLRunConfig(nn.fully_connected(), 4, 2, 1, specs, nn.TrainConfig(0.1, 32))
+    return federation.run_federated_training(cfg, partition(train, 4, seed=8), test, seed=17)
+
+
+def test_threshold_sparsify_run_matches_argsort_oracle(monkeypatch):
+    got = _lossy_fc_run()
+    monkeypatch.setattr(federation, "sparsify", argsort_sparsify)
+    want = _lossy_fc_run()
+    assert got.ledger == want.ledger
+    assert got.n_correct == want.n_correct
+    assert [a.tobytes() for a in got.global_model.arrays] == [a.tobytes() for a in want.global_model.arrays]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_local_model_raises_before_upload(monkeypatch, value):
+    def poisoned_step(params, batch, cfg):
+        out = nn.sgd_step(params, batch, cfg)
+        out.arrays[1][0] = value
+        return out
+
+    monkeypatch.setattr(federation, "sgd_step", poisoned_step)
+    train = make_synthetic(64, 18)
+    # at drop 50 a NaN is never kept, so only the check before encoding sees it
+    with pytest.raises(nn.NumericError) as info:
+        federation.run_federated_training(_config(drop=50), partition(train, 4, seed=9), train, seed=0)
+    assert info.value.layer_index == 1

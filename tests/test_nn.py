@@ -94,6 +94,13 @@ def test_sgd_step_preserves_parameter_counts():
     assert [a.size for a in after.arrays] == [a.size for a in params.arrays]
 
 
+def test_learning_rate_must_be_finite_in_float32():
+    for lr in (1e39, np.inf, np.nan, -0.1):
+        with pytest.raises(ValueError):
+            nn.TrainConfig(lr, 64)
+    assert nn.TrainConfig(float(np.finfo(np.float32).max), 64).batch_size == 64
+
+
 def test_non_finite_gradient_reports_layer():
     params = nn.build_model(TOY_FC, seed=0, dtype=np.float64)
     params.arrays[2][0] = np.nan

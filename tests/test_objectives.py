@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flcop import nn, objectives
+from flcop import federation, nn, objectives
 from flcop.codec import payload_bits
 from flcop.data import partition
 from flcop.federation import run_federated_training
@@ -146,6 +146,17 @@ def test_failed_training_becomes_zero_accuracy(tiny_env):
     assert vector.failed
     assert vector.accuracy == 0.0
     assert "training failed" in vector.note
+
+
+def test_non_finite_local_model_marks_genome_failed(tiny_env, monkeypatch):
+    def overflowing_step(params, batch, cfg):
+        return nn.ModelParams(params.spec, [np.full_like(a, np.inf) for a in params.arrays])
+
+    monkeypatch.setattr(federation, "sgd_step", overflowing_step)
+    vector, outcome = objectives.simulate_genome(Genome(2, 1, (50, 10, 25, 0), (8, 16, 8, 16)), tiny_env)
+    assert vector.failed and outcome is None
+    assert vector.accuracy == 0.0
+    assert "non-finite values in parameter array" in vector.note
 
 
 def test_ledger_agrees_with_closed_form():
