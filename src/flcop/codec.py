@@ -86,12 +86,24 @@ def sparsify(layer: np.ndarray, drop_percent: int) -> np.ndarray:
     return kept
 
 
+# magnitudes from here up round to infinity when cast to float32: half an
+# ulp above the largest float32, where round-half-even goes up
+_F32_OVERFLOW = 2.0**128 - 2.0**103
+
+
 def quantize(layer: np.ndarray, kept: np.ndarray, bits: int) -> LayerPayload:
     """Encode the kept entries on a 2**bits level grid spanning [min, max].
 
     Code 0 decodes to the minimum, code 2**bits - 1 to the maximum, interior
-    codes to equally spaced levels between them; normalized values round half
-    away from zero. A constant layer yields all-zero codes.
+    codes to equally spaced levels between them. Each value takes the
+    nearest level by round-half-up of its normalized position; a
+    neighbouring level (c - 1 tried first, then c + 1) replaces it only when
+    its float64 reconstruction is strictly closer, so the half-step error
+    bound survives float rounding. A neighbour can win only where the error
+    lies within float64 rounding of half a step, so only those entries are
+    checked. A constant layer yields all-zero codes. Raises
+    FloatingPointError when a kept value is NaN or infinite or when an
+    extremum overflows float32.
     """
     layer = np.asarray(layer)
     if not 1 <= bits <= 32:
@@ -99,50 +111,71 @@ def quantize(layer: np.ndarray, kept: np.ndarray, bits: int) -> LayerPayload:
     kept = np.asarray(kept, np.int64)
     if kept.size == 0:
         raise ValueError("kept index set must be non-empty")
-    vals = layer[kept].astype(np.float64)
-    if not np.isfinite(vals).all():
-        raise FloatingPointError("layer holds non-finite values")
+    # arithmetic runs in float64; casting each kept value as it is read is
+    # exact and saves a converted copy
+    vals = layer[kept]
+    # min and max propagate NaN and infinities, so this also rejects those
+    lo, hi = float(vals.min()), float(vals.max())
+    if not (-_F32_OVERFLOW < lo and hi < _F32_OVERFLOW):
+        raise FloatingPointError("layer holds values that are not finite in float32")
     # extrema travel as float32 on the wire; quantize against the stored values
-    lo = np.float64(np.float32(vals.min()))
-    hi = np.float64(np.float32(vals.max()))
+    lo, hi = float(np.float32(lo)), float(np.float32(hi))
     levels = (1 << bits) - 1
     if hi == lo:
-        codes = np.zeros(kept.size, np.uint32)
-    else:
-        step = (hi - lo) / levels
-        codes = np.floor((vals - lo) * (levels / (hi - lo)) + 0.5)
-        np.clip(codes, 0, levels, out=codes)
-        # snap to a neighbouring level only when it is strictly closer,
-        # so the half-step error bound survives float rounding
-        err = np.abs(vals - (lo + codes * step))
-        for cand in (codes - 1, codes + 1):
+        return LayerPayload(kept, np.zeros(kept.size, np.uint32), lo, hi, bits)
+    step = (hi - lo) / levels
+    codes = np.subtract(vals, lo, dtype=np.float64)
+    codes *= levels / (hi - lo)
+    codes += 0.5
+    np.floor(codes, out=codes)
+    np.clip(codes, 0, levels, out=codes)
+    err = np.multiply(codes, step)
+    err += lo
+    np.subtract(vals, err, out=err, dtype=np.float64)
+    np.abs(err, out=err)
+    # each computed reconstruction lo + c * step is off by at most
+    # 2**-53 * (|lo| + 2 (hi - lo)) and each computed error by a relative
+    # 2**-53, so a neighbour can be strictly closer only where err lies
+    # within 2**-52 * (|lo| + |hi| + (hi - lo)) of step / 2; the margin is
+    # eight times that
+    margin = 8 * 2.0**-52 * (abs(lo) + abs(hi) + (hi - lo))
+    near = np.flatnonzero(err >= step / 2 - margin)
+    if near.size:
+        v, c, e = vals[near].astype(np.float64), codes[near], err[near]
+        for cand in (c - 1, c + 1):
             np.clip(cand, 0, levels, out=cand)
-            cand_err = np.abs(vals - (lo + cand * step))
-            better = cand_err < err
-            codes = np.where(better, cand, codes)
-            err = np.where(better, cand_err, err)
-        codes = codes.astype(np.uint32)
-    return LayerPayload(kept, codes, float(lo), float(hi), bits)
+            cand_err = np.abs(v - (lo + cand * step))
+            better = cand_err < e
+            c = np.where(better, cand, c)
+            e = np.where(better, cand_err, e)
+        codes[near] = c
+    return LayerPayload(kept, codes.astype(np.uint32), lo, hi, bits)
 
 
-def dequantize(payload: LayerPayload, n: int, fill=0.0) -> np.ndarray:
-    """Reconstruct a flat float64 array of length n from a payload.
+def dequantize(payload: LayerPayload, n: int, fill=0.0, dtype=np.float64) -> np.ndarray:
+    """Reconstruct a flat array of length n and the given dtype from a payload.
 
-    Kept positions decode to w_min + code * step; every other position takes
-    `fill` (a scalar, or an array of length n read positionally).
+    Kept positions decode to w_min + code * step, computed in float64 and
+    rounded once to `dtype`; every other position takes `fill` (a scalar, or
+    an array of length n read positionally) cast to `dtype`.
     """
     idx = payload.kept_indices
     if idx.size and int(idx.max()) >= n:
         raise PayloadCorruptionError(f"kept index {int(idx.max())} out of range for layer of {n}")
-    if np.ndim(fill) == 0:
-        out = np.full(n, fill, np.float64)
-    else:
-        out = np.asarray(fill, np.float64).copy()
-        if out.shape != (n,):
-            raise ValueError("fill array must match the layer length")
+    if np.ndim(fill) and np.shape(fill) != (n,):
+        raise ValueError("fill array must match the layer length")
     levels = (1 << payload.bits) - 1
     step = (payload.w_max - payload.w_min) / levels if payload.w_max > payload.w_min else 0.0
-    out[idx] = payload.w_min + payload.codes.astype(np.float64) * step
+    rec = payload.codes.astype(np.float64)
+    rec *= step
+    rec += payload.w_min
+    # one rounding to dtype; a scatter without a cast in it is also faster
+    rec = rec.astype(dtype, copy=False)
+    # n strictly increasing indices below n, starting at 0, are every position
+    if idx.size == n > 0 and idx[0] == 0 and (idx[1:] > idx[:-1]).all():
+        return rec
+    out = np.full(n, fill, dtype) if np.ndim(fill) == 0 else np.array(fill, dtype)
+    out[idx] = rec
     return out
 
 
@@ -169,7 +202,8 @@ def encode_payload(payload: LayerPayload) -> bytes:
 
 
 def decode_payload(buf: bytes) -> LayerPayload:
-    """Inverse of encode_payload; raises PayloadCorruptionError on bad sizes."""
+    """Inverse of encode_payload; raises PayloadCorruptionError on bad sizes
+    or on kept indices that do not strictly increase."""
     if len(buf) < 13:
         raise PayloadCorruptionError("payload shorter than its 13-byte header")
     bits, k, w_min, w_max = struct.unpack("<BIff", buf[:13])
@@ -181,5 +215,7 @@ def decode_payload(buf: bytes) -> LayerPayload:
     padded[:, :bits] = stream[: k * bits].reshape(k, bits)
     codes = np.packbits(padded, axis=1, bitorder="little").view("<u4").reshape(k)
     deltas = np.frombuffer(buf, "<u4", k, offset=13 + code_bytes)
+    if not deltas[1:].all():
+        raise PayloadCorruptionError("kept indices repeat: zero delta after the first")
     indices = np.cumsum(deltas.astype(np.int64))
     return LayerPayload(indices, codes.astype(np.uint32), w_min, w_max, bits)

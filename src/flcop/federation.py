@@ -172,7 +172,7 @@ def run_federated_training(
                 kept = sparsify(arr, layer_spec.drop_percent)
                 payload = quantize(arr, kept, layer_spec.bits)
                 round_up += payload.codes.size * payload.bits + 64
-                arrays.append(dequantize(payload, sizes[i], fill=global_model.arrays[i]).astype(dtype))
+                arrays.append(dequantize(payload, sizes[i], fill=global_model.arrays[i], dtype=dtype))
             decoded.append(ModelParams(spec, arrays))
         ledger.uplink_bits += round_up
         global_model = aggregate(decoded)

@@ -19,6 +19,45 @@ def argsort_sparsify(layer, drop_percent: int) -> np.ndarray:
     return np.sort(order[:k])
 
 
+def snap_loop_quantize(layer, kept, bits: int) -> codec.LayerPayload:
+    """Reference quantizer: round-half-up to the nearest level, then snap
+    every kept entry to c - 1 and then c + 1 wherever that reconstruction is
+    strictly closer, each pass building whole candidate arrays."""
+    layer = np.asarray(layer)
+    kept = np.asarray(kept, np.int64)
+    vals = layer[kept].astype(np.float64)
+    if not np.isfinite(vals).all():
+        raise FloatingPointError("layer holds non-finite values")
+    lo = np.float64(np.float32(vals.min()))
+    hi = np.float64(np.float32(vals.max()))
+    levels = (1 << bits) - 1
+    if hi == lo:
+        codes = np.zeros(kept.size, np.uint32)
+    else:
+        step = (hi - lo) / levels
+        codes = np.floor((vals - lo) * (levels / (hi - lo)) + 0.5)
+        np.clip(codes, 0, levels, out=codes)
+        err = np.abs(vals - (lo + codes * step))
+        for cand in (codes - 1, codes + 1):
+            np.clip(cand, 0, levels, out=cand)
+            cand_err = np.abs(vals - (lo + cand * step))
+            better = cand_err < err
+            codes = np.where(better, cand, codes)
+            err = np.where(better, cand_err, err)
+        codes = codes.astype(np.uint32)
+    return codec.LayerPayload(kept, codes, float(lo), float(hi), bits)
+
+
+def float64_dequantize(payload: codec.LayerPayload, n: int, fill=0.0) -> np.ndarray:
+    """Reference decoder: scatter the float64 reconstruction into a float64
+    copy of `fill`; callers cast the result to the model dtype."""
+    out = np.full(n, fill, np.float64) if np.ndim(fill) == 0 else np.asarray(fill, np.float64).copy()
+    levels = (1 << payload.bits) - 1
+    step = (payload.w_max - payload.w_min) / levels if payload.w_max > payload.w_min else 0.0
+    out[payload.kept_indices] = payload.w_min + payload.codes.astype(np.float64) * step
+    return out
+
+
 def make_synthetic(n: int, seed: int) -> data.LabeledDataset:
     """Learnable MNIST-shaped stand-in: noisy class prototypes on a byte grid.
 

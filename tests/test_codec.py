@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from flcop import codec
-from conftest import argsort_sparsify
+from conftest import argsort_sparsify, float64_dequantize, snap_loop_quantize
 
 
 def test_sparsify_keeps_top_magnitude():
@@ -97,6 +97,94 @@ def test_quantize_rejects_non_finite():
         codec.quantize(np.array([1.0, np.nan]), np.arange(2), 4)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, 1e39, -1e39])
+def test_quantize_rejects_values_not_finite_in_float32(value):
+    # 1e39 is finite in float64 but the extrema travel as float32
+    with pytest.raises(FloatingPointError):
+        codec.quantize(np.array([value, 0.0, -5.0, 1.0]), np.arange(4), 8)
+
+
+def test_quantize_float32_overflow_edge():
+    # half an ulp above the largest float32 rounds to infinity, just below it
+    # rounds to the largest float32
+    edge = 2.0**128 - 2.0**103
+    with pytest.raises(FloatingPointError):
+        codec.quantize(np.array([0.0, edge]), np.arange(2), 8)
+    with pytest.raises(FloatingPointError):
+        codec.quantize(np.array([-edge, 0.0]), np.arange(2), 8)
+    below = np.nextafter(edge, 0.0)
+    p = codec.quantize(np.array([-below, below]), np.arange(2), 8)
+    big = float(np.finfo(np.float32).max)
+    assert (p.w_min, p.w_max) == (-big, big)
+    assert list(p.codes) == [0, 255]
+
+
+def _old_and_new_agree(layer, kept, bits):
+    got = codec.quantize(layer, kept, bits)
+    want = snap_loop_quantize(layer, kept, bits)
+    assert got.codes.dtype == want.codes.dtype == np.uint32
+    assert np.array_equal(got.codes, want.codes)
+    assert np.array_equal(got.kept_indices, want.kept_indices)
+    assert (got.w_min, got.w_max) == (want.w_min, want.w_max)
+    n = layer.size
+    for fill in (0.1, layer):
+        for dtype in (np.float32, np.float64):
+            old = float64_dequantize(want, n, fill).astype(dtype)
+            assert codec.dequantize(got, n, fill, dtype=dtype).tobytes() == old.tobytes()
+
+
+# float32 values at 1e6 are 1/16 apart, so a few of them span a range whose
+# grid at high bit widths is finer than float64 rounding of lo + c * step
+_CLUSTER = st.integers(-8, 8).map(lambda k: np.float32(1e6 + k / 16))
+_FINITE_TIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, 0.5, 0.25])
+_FINITE32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _quantize_inputs(draw):
+    kind = draw(st.sampled_from(["float32", "float64", "cluster"]))
+    size = st.integers(1, 5000)
+    if kind == "cluster":
+        layer = draw(hnp.arrays(np.float32, size, elements=_CLUSTER))
+    elif kind == "float32":
+        layer = draw(hnp.arrays(np.float32, size, elements=st.one_of(_FINITE_TIES, _FINITE32)))
+    else:
+        # float64 values stay inside float32 range, where the extrema can travel
+        layer = draw(hnp.arrays(np.float64, size, elements=st.one_of(_FINITE_TIES, st.floats(-3e38, 3e38))))
+    if draw(st.booleans()):
+        kept = codec.sparsify(layer, draw(st.integers(0, 50)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        kept = rng.permutation(layer.size)[: draw(st.integers(1, layer.size))]
+    return layer, kept
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_quantize_inputs())
+def test_quantize_matches_snap_loop(case):
+    layer, kept = case
+    for bits in range(1, 33):
+        _old_and_new_agree(layer, kept, bits)
+
+
+def test_quantize_snaps_where_rounding_moves_the_nearest_level():
+    # the rounded position puts v at code 523962005, but the float64
+    # reconstruction of 523962004 is strictly closer; v's error is about
+    # 0.2 * 2**-52 * (|lo| + |hi| + (hi - lo)) below half a step
+    layer = np.array([-1.801721815551181e16, 444803590389760.0, 889592376911.9999])
+    p = codec.quantize(layer, np.arange(3), 29)
+    assert list(p.codes) == [0, (1 << 29) - 1, 523962004]
+    _old_and_new_agree(layer, np.arange(3), 29)
+
+
+def test_quantize_matches_snap_loop_on_cauchy_tails():
+    rng = np.random.default_rng(901)
+    for dtype in (np.float32, np.float64):
+        layer = rng.standard_cauchy(20000).astype(dtype)
+        for bits in (1, 8, 16, 24, 32):
+            _old_and_new_agree(layer, codec.sparsify(layer, 10), bits)
+
+
 def test_dequantize_exact_on_grid_values():
     p = codec.quantize(np.array([0.0, 1.0, 2.0, 3.0]), np.arange(4), 2)
     assert np.array_equal(codec.dequantize(p, 4), [0.0, 1.0, 2.0, 3.0])
@@ -112,6 +200,17 @@ def test_dequantize_fill_scalar_and_array():
     filled = codec.dequantize(p, 4, fill=stash)
     assert filled[2] == 7.0 and filled[3] == 7.0
     assert (stash == 7.0).all()
+
+
+def test_dequantize_scatters_unless_every_position_is_covered():
+    # a payload built in memory may repeat an index: the last write wins
+    # and the uncovered position keeps the fill
+    p = codec.LayerPayload(np.array([0, 0, 2]), np.array([1, 2, 3], np.uint32), 0.0, 3.0, 2)
+    assert list(codec.dequantize(p, 3, fill=-1.0)) == [2.0, -1.0, 3.0]
+    shuffled = codec.LayerPayload(np.array([2, 0, 1]), np.array([1, 2, 3], np.uint32), 0.0, 3.0, 2)
+    assert list(codec.dequantize(shuffled, 3, dtype=np.float32)) == [2.0, 3.0, 1.0]
+    with pytest.raises(ValueError):
+        codec.dequantize(shuffled, 3, fill=np.zeros(4))
 
 
 def test_dequantize_rejects_out_of_range_index():
@@ -135,6 +234,25 @@ def test_round_trip_error_bound_random_layers():
         bound = (p.w_max - p.w_min) / (2 * ((1 << bits) - 1))
         err = np.abs(rec[kept] - layer[kept].astype(np.float64)).max()
         assert err <= bound
+
+
+_FLOAT32_LAYERS = hnp.arrays(np.float32, st.integers(1, 2000), elements=st.one_of(_FINITE_TIES, _FINITE32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(layer=_FLOAT32_LAYERS, mu=st.integers(0, 50), bits=st.integers(1, 32))
+def test_round_trip_error_bound_property(layer, mu, bits):
+    kept = codec.sparsify(layer, mu)
+    assert kept.size == codec.kept_count(layer.size, mu)
+    p = codec.quantize(layer, kept, bits)
+    assert int(p.codes.max(initial=0)) < (1 << bits)
+    rec = codec.dequantize(p, layer.size)
+    bound = (p.w_max - p.w_min) / (2 * ((1 << bits) - 1))
+    err = np.abs(rec[kept] - layer[kept].astype(np.float64)).max()
+    # lo + c * step is itself rounded in float64: on 29 consecutive float32
+    # values from -1.2771597 at 31 bits the error passes half a step by 1.1e-16
+    slack = 4 * np.finfo(np.float64).eps * max(abs(p.w_min), abs(p.w_max), bound)
+    assert err <= bound + slack
 
 
 def test_fidelity_monotone_in_bits():
@@ -217,6 +335,17 @@ def test_wire_round_trip_random():
         assert np.array_equal(q.codes, p.codes)
 
 
+@settings(max_examples=200, deadline=None)
+@given(layer=_FLOAT32_LAYERS, mu=st.integers(0, 50), bits=st.integers(1, 32))
+def test_wire_round_trip_property(layer, mu, bits):
+    p = codec.quantize(layer, codec.sparsify(layer, mu), bits)
+    q = codec.decode_payload(codec.encode_payload(p))
+    assert q.bits == p.bits
+    assert q.w_min == p.w_min and q.w_max == p.w_max
+    assert np.array_equal(q.kept_indices, p.kept_indices)
+    assert np.array_equal(q.codes, p.codes)
+
+
 def test_wire_rejects_corrupt_buffers():
     layer = np.arange(16, dtype=np.float32)
     p = codec.quantize(layer, codec.sparsify(layer, 0), 5)
@@ -225,3 +354,14 @@ def test_wire_rejects_corrupt_buffers():
         codec.decode_payload(buf[:10])
     with pytest.raises(codec.PayloadCorruptionError):
         codec.decode_payload(buf + b"\x00")
+
+
+def test_wire_rejects_repeated_indices():
+    # indices [0, 0, 2] travel as deltas [0, 0, 2]; decoding them would
+    # overwrite code 1 and leave position 1 at the fill
+    repeated = codec.LayerPayload(np.array([0, 0, 2]), np.array([1, 2, 3], np.uint32), 0.0, 3.0, 2)
+    with pytest.raises(codec.PayloadCorruptionError):
+        codec.decode_payload(codec.encode_payload(repeated))
+    # a zero first delta is index 0, not a repeat
+    first = codec.LayerPayload(np.array([0, 1, 2]), np.array([1, 2, 3], np.uint32), 0.0, 3.0, 2)
+    assert list(codec.decode_payload(codec.encode_payload(first)).kept_indices) == [0, 1, 2]

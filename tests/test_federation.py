@@ -6,7 +6,7 @@ import pytest
 from flcop import codec, federation, nn
 from flcop.codec import LayerCompressionSpec
 from flcop.data import partition
-from conftest import argsort_sparsify, make_synthetic
+from conftest import argsort_sparsify, float64_dequantize, make_synthetic, snap_loop_quantize
 
 TOY = nn.ModelSpec("toy_fc", (784,), (nn.Dense(784, 8), nn.Dense(8, 10)))
 
@@ -207,11 +207,11 @@ def test_run_rejects_bad_inputs():
         federation.FLRunConfig(TOY, 4, 5, 1, tuple(LayerCompressionSpec(8, 0) for _ in range(4)), nn.TrainConfig(), 1)
 
 
-def _lossy_fc_run():
-    """Genome [2,1,50,10,25,0,8,16,8,16] on the fc model over a tiny partition."""
+def _lossy_fc_run(bits=(8, 16, 8, 16)):
+    """Genome [2,1,50,10,25,0,*bits] on the fc model over a tiny partition."""
     train = make_synthetic(256, 15)
     test = make_synthetic(64, 16)
-    specs = tuple(LayerCompressionSpec(b, mu) for b, mu in zip((8, 16, 8, 16), (50, 10, 25, 0)))
+    specs = tuple(LayerCompressionSpec(b, mu) for b, mu in zip(bits, (50, 10, 25, 0)))
     cfg = federation.FLRunConfig(nn.fully_connected(), 4, 2, 1, specs, nn.TrainConfig(0.1, 32))
     return federation.run_federated_training(cfg, partition(train, 4, seed=8), test, seed=17)
 
@@ -220,6 +220,20 @@ def test_threshold_sparsify_run_matches_argsort_oracle(monkeypatch):
     got = _lossy_fc_run()
     monkeypatch.setattr(federation, "sparsify", argsort_sparsify)
     want = _lossy_fc_run()
+    assert got.ledger == want.ledger
+    assert got.n_correct == want.n_correct
+    assert [a.tobytes() for a in got.global_model.arrays] == [a.tobytes() for a in want.global_model.arrays]
+
+
+def test_one_pass_codec_run_matches_snap_loop_oracle(monkeypatch):
+    # genome [2,1,50,10,25,0,8,16,8,32]: lossy layers beside a 32-bit one
+    got = _lossy_fc_run(bits=(8, 16, 8, 32))
+    monkeypatch.setattr(federation, "quantize", snap_loop_quantize)
+    monkeypatch.setattr(
+        federation, "dequantize",
+        lambda payload, n, fill=0.0, dtype=np.float64: float64_dequantize(payload, n, fill).astype(dtype),
+    )
+    want = _lossy_fc_run(bits=(8, 16, 8, 32))
     assert got.ledger == want.ledger
     assert got.n_correct == want.n_correct
     assert [a.tobytes() for a in got.global_model.arrays] == [a.tobytes() for a in want.global_model.arrays]
