@@ -160,8 +160,8 @@ def dequantize(payload: LayerPayload, n: int, fill=0.0, dtype=np.float64) -> np.
     an array of length n read positionally) cast to `dtype`.
     """
     idx = payload.kept_indices
-    if idx.size and int(idx.max()) >= n:
-        raise PayloadCorruptionError(f"kept index {int(idx.max())} out of range for layer of {n}")
+    if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= n):
+        raise PayloadCorruptionError(f"kept indices {idx.min()}..{idx.max()} out of range for layer of {n}")
     if np.ndim(fill) and np.shape(fill) != (n,):
         raise ValueError("fill array must match the layer length")
     levels = (1 << payload.bits) - 1

@@ -31,20 +31,42 @@ class ParetoPoint:
         return (self.comm, self.accuracy)
 
 
+# rows per block of the dominance matrix, so each boolean temporary holds
+# about 128k entries however large the archive grows
+_BLOCK_ENTRIES = 1 << 17
+
+
+def dominated_by(points: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Entry [r, j] is true iff points[j] strictly dominates points[rows][r]:
+    no worse in every objective and better in one, where `points` is an (n, d)
+    float64 array already mapped to minimisation. NaN raises ValueError."""
+    if np.isnan(points).any():
+        raise ValueError("objective values must not be NaN")
+    block = points[rows]
+    no_worse = np.ones((len(block), len(points)), bool)
+    better = np.zeros_like(no_worse)
+    # 2-D comparisons one objective at a time: broadcasting over a trailing
+    # axis of size d builds d-times larger temporaries and runs slower
+    for k in range(points.shape[1]):
+        no_worse &= points[:, k] <= block[:, k, None]
+        better |= points[:, k] < block[:, k, None]
+    no_worse &= better
+    return no_worse
+
+
 def pareto_filter(points: Sequence[tuple[float, ...]], directions: Sequence[int] = (1, -1)) -> list[int]:
-    """Indices of points not strictly dominated by any other point.
+    """Ascending indices of points not strictly dominated by any other point.
 
     Duplicates do not dominate each other, so every copy of a non-dominated
-    point survives.
+    point survives. A NaN objective raises ValueError.
     """
-    arr = np.asarray([[d * v for d, v in zip(directions, p)] for p in points], np.float64)
-    keep = []
-    for i in range(len(arr)):
-        no_worse = (arr <= arr[i]).all(axis=1)
-        strictly_better = (arr < arr[i]).any(axis=1)
-        if not (no_worse & strictly_better).any():
-            keep.append(i)
-    return keep
+    arr = np.asarray(points, np.float64).reshape(len(points), len(directions)) * np.asarray(directions)
+    step = max(1, _BLOCK_ENTRIES // max(1, len(arr)))
+    keep = [
+        start + np.flatnonzero(~dominated_by(arr, slice(start, start + step)).any(axis=1))
+        for start in range(0, len(arr), step)
+    ]
+    return np.concatenate(keep).tolist() if keep else []
 
 
 def hypervolume(points: Sequence[tuple[float, float]], reference: tuple[float, float] = HV_REFERENCE) -> float:
@@ -53,7 +75,8 @@ def hypervolume(points: Sequence[tuple[float, float]], reference: tuple[float, f
     The front is swept by ascending f1; each point contributes the rectangle
     from the reference f1 back to its own, over the f2 span it adds above the
     running ceiling. Dominated input points are filtered first and contribute
-    nothing; a point strictly outside the reference box is an error.
+    nothing; a point strictly outside the reference box, or with a NaN
+    coordinate, is an error.
     """
     f1_ref, f2_ref = reference
     for p in points:

@@ -2,9 +2,10 @@
 
 The engine is independent of the federated problem: it needs per-coordinate
 bounds, an objective direction per objective (+1 minimize, -1 maximize), and
-a batch evaluator. Operators draw from a single sequential random stream, so
-a fixed seed reproduces a run exactly regardless of how the evaluator
-parallelizes.
+a batch evaluator. Objective values must not be NaN: the sort, the archive
+and the hypervolume raise ValueError on one; ±inf is ordered as usual.
+Operators draw from a single sequential random stream, so a fixed seed
+reproduces a run exactly regardless of how the evaluator parallelizes.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .metrics import hypervolume, pareto_filter
+from .metrics import dominated_by, hypervolume, pareto_filter
 
 Vector = tuple[int, ...]
 BatchEvaluator = Callable[[list[Vector], int], list[tuple[float, ...]]]
+Fronts = tuple[tuple[int, ...], ...]
 
 MINIMIZE = 1
 MAXIMIZE = -1
@@ -30,16 +32,6 @@ class Individual:
     objectives: tuple[float, ...] | None = None
     rank: int | None = None
     crowding: float = 0.0
-
-
-@dataclass(frozen=True)
-class FrontSet:
-    """Population indices partitioned into fronts of increasing rank."""
-
-    fronts: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.fronts)
 
 
 @dataclass(frozen=True)
@@ -68,42 +60,22 @@ class SearchParams:
         return 1.0 / self.dimension if self.mutation_prob is None else self.mutation_prob
 
 
-def dominates(a: Sequence[float], b: Sequence[float], directions: Sequence[int]) -> bool:
-    """True iff a is no worse than b in every objective and better in one."""
-    better = False
-    for av, bv, d in zip(a, b, directions):
-        if d * av > d * bv:
-            return False
-        if d * av < d * bv:
-            better = True
-    return better
-
-
-def non_dominated_sort(objectives: list[tuple[float, ...]], directions: Sequence[int]) -> FrontSet:
-    """Fast non-dominated sort: ranked fronts of population indices."""
+def non_dominated_sort(objectives: Sequence[tuple[float, ...]], directions: Sequence[int]) -> Fronts:
+    """Population indices in fronts of increasing rank, each front ascending.
+    A front is every remaining point that no remaining point dominates."""
     n = len(objectives)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(objectives[i], objectives[j], directions):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif dominates(objectives[j], objectives[i], directions):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
+    arr = np.asarray(objectives, np.float64).reshape(n, len(directions)) * np.asarray(directions)
+    dominated = dominated_by(arr)
+    count = dominated.sum(axis=1)
+    done = np.zeros(n, bool)
     fronts = []
-    current = [i for i in range(n) if domination_count[i] == 0]
-    while current:
-        fronts.append(tuple(current))
-        nxt = []
-        for i in current:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    nxt.append(j)
-        current = sorted(nxt)
-    return FrontSet(tuple(fronts))
+    front = np.flatnonzero(count == 0)
+    while front.size:
+        fronts.append(tuple(front.tolist()))
+        done[front] = True
+        count -= dominated[:, front].sum(axis=1)
+        front = np.flatnonzero((count == 0) & ~done)
+    return tuple(fronts)
 
 
 def crowding_distance(front_objectives: list[tuple[float, ...]]) -> list[float]:
@@ -177,15 +149,15 @@ def uniform_mutation(
     return tuple(int(d) if m else int(v) for v, d, m in zip(vec, draws, mask))
 
 
-def assign_ranks_and_crowding(population: list[Individual], directions: Sequence[int]) -> FrontSet:
+def assign_ranks_and_crowding(population: list[Individual], directions: Sequence[int]) -> Fronts:
     objs = [ind.objectives for ind in population]
-    front_set = non_dominated_sort(objs, directions)
-    for rank, front in enumerate(front_set.fronts, start=1):
+    fronts = non_dominated_sort(objs, directions)
+    for rank, front in enumerate(fronts, start=1):
         dists = crowding_distance([objs[i] for i in front])
         for i, dist in zip(front, dists):
             population[i].rank = rank
             population[i].crowding = dist
-    return front_set
+    return fronts
 
 
 def replacement(parents: list[Individual], offspring: list[Individual], directions: Sequence[int]) -> list[Individual]:
@@ -194,9 +166,8 @@ def replacement(parents: list[Individual], offspring: list[Individual], directio
     union = parents + offspring
     target = len(parents)
     objs = [ind.objectives for ind in union]
-    front_set = non_dominated_sort(objs, directions)
     survivors: list[Individual] = []
-    for front in front_set.fronts:
+    for front in non_dominated_sort(objs, directions):
         dists = crowding_distance([objs[i] for i in front])
         if len(survivors) + len(front) <= target:
             survivors.extend(union[i] for i in front)

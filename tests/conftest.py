@@ -58,6 +58,46 @@ def float64_dequantize(payload: codec.LayerPayload, n: int, fill=0.0) -> np.ndar
     return out
 
 
+def dominates(a, b, directions) -> bool:
+    """Reference dominance: a is no worse than b in every objective and
+    better in one, with each objective times its direction minimised."""
+    better = False
+    for av, bv, d in zip(a, b, directions):
+        if d * av > d * bv:
+            return False
+        if d * av < d * bv:
+            better = True
+    return better
+
+
+def pair_loop_sort(objectives, directions) -> tuple[tuple[int, ...], ...]:
+    """Reference fast non-dominated sort (Deb et al. 2002): one dominance
+    test per pair, then fronts peeled by domination counts, each sorted."""
+    n = len(objectives)
+    dominated_by: list[list[int]] = [[] for _ in range(n)]
+    domination_count = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dominates(objectives[i], objectives[j], directions):
+                dominated_by[i].append(j)
+                domination_count[j] += 1
+            elif dominates(objectives[j], objectives[i], directions):
+                dominated_by[j].append(i)
+                domination_count[i] += 1
+    fronts = []
+    current = [i for i in range(n) if domination_count[i] == 0]
+    while current:
+        fronts.append(tuple(current))
+        nxt = []
+        for i in current:
+            for j in dominated_by[i]:
+                domination_count[j] -= 1
+                if domination_count[j] == 0:
+                    nxt.append(j)
+        current = sorted(nxt)
+    return tuple(fronts)
+
+
 def make_synthetic(n: int, seed: int) -> data.LabeledDataset:
     """Learnable MNIST-shaped stand-in: noisy class prototypes on a byte grid.
 

@@ -219,6 +219,13 @@ def test_dequantize_rejects_out_of_range_index():
         codec.dequantize(p, 4)
 
 
+def test_dequantize_rejects_negative_index():
+    # numpy would wrap -1 to the last position
+    p = codec.LayerPayload(np.array([-1]), np.array([1], np.uint32), 0.0, 1.0, 1)
+    with pytest.raises(codec.PayloadCorruptionError):
+        codec.dequantize(p, 4)
+
+
 def test_round_trip_error_bound_random_layers():
     rng = np.random.default_rng(1)
     for _ in range(400):

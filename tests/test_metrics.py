@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -51,6 +52,17 @@ def test_hypervolume_boundary_points_contribute_nothing():
     assert hypervolume([(1.0, 0.7)], (1.0, 0.0)) == 0.0
     assert hypervolume([(0.5, 0.0)], (1.0, 0.0)) == 0.0
     assert hypervolume([], (1.0, 0.0)) == 0.0
+
+
+def test_hypervolume_rejects_nan():
+    # a NaN point used to pass the box check and vanish in the filter
+    with pytest.raises(ValueError, match="NaN"):
+        hypervolume([(math.nan, 0.9), (0.5, 0.5)], (1.0, 0.0))
+
+
+def test_pareto_filter_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        metrics.pareto_filter([(0.5, math.nan), (0.5, 0.5)])
 
 
 def test_hypervolume_against_monte_carlo():

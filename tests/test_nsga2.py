@@ -3,19 +3,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flcop import nsga2
+from flcop import metrics, nsga2
 from flcop.metrics import pareto_filter
+from conftest import dominates, pair_loop_sort
 
 MIN_MAX = (1, -1)
 
 
 def test_dominates_cases():
-    assert nsga2.dominates((0.1, 0.95), (0.2, 0.90), MIN_MAX)
-    assert not nsga2.dominates((0.1, 0.90), (0.2, 0.95), MIN_MAX)
-    assert not nsga2.dominates((0.2, 0.95), (0.1, 0.90), MIN_MAX)
-    assert not nsga2.dominates((0.3, 0.5), (0.3, 0.5), MIN_MAX)
-    assert nsga2.dominates((0.3, 0.6), (0.3, 0.5), MIN_MAX)
+    cases = [
+        ((0.1, 0.95), (0.2, 0.90), True),
+        ((0.1, 0.90), (0.2, 0.95), False),
+        ((0.2, 0.95), (0.1, 0.90), False),
+        ((0.3, 0.5), (0.3, 0.5), False),
+        ((0.3, 0.6), (0.3, 0.5), True),
+    ]
+    for a, b, expected in cases:
+        assert dominates(a, b, MIN_MAX) == expected
+        # the kernel's entry [r, j] says that point j dominates row r
+        assert metrics.dominated_by(np.array([b, a]) * MIN_MAX)[0, 1] == expected
 
 
 def _oracle_fronts(objectives, directions):
@@ -26,7 +35,7 @@ def _oracle_fronts(objectives, directions):
         front = sorted(
             i
             for i in remaining
-            if not any(nsga2.dominates(objectives[j], objectives[i], directions) for j in remaining)
+            if not any(dominates(objectives[j], objectives[i], directions) for j in remaining)
         )
         fronts.append(tuple(front))
         remaining -= set(front)
@@ -35,11 +44,11 @@ def _oracle_fronts(objectives, directions):
 
 def test_sort_examples():
     fs = nsga2.non_dominated_sort([(0.1, 0.9), (0.2, 0.95), (0.3, 0.8)], MIN_MAX)
-    assert fs.fronts == ((0, 1), (2,))
+    assert fs == ((0, 1), (2,))
     fs = nsga2.non_dominated_sort([(0.5, 0.5)] * 5, MIN_MAX)
-    assert fs.fronts == ((0, 1, 2, 3, 4),)
+    assert fs == ((0, 1, 2, 3, 4),)
     fs = nsga2.non_dominated_sort([(0.1, 0.9), (0.2, 0.8), (0.3, 0.7)], MIN_MAX)
-    assert fs.fronts == ((0,), (1,), (2,))
+    assert fs == ((0,), (1,), (2,))
 
 
 def test_sort_matches_oracle_on_random_populations():
@@ -50,7 +59,62 @@ def test_sort_matches_oracle_on_random_populations():
         if rng.random() < 0.5:  # force ties sometimes
             objs += objs[: n // 3]
         got = nsga2.non_dominated_sort(objs, MIN_MAX)
-        assert got.fronts == _oracle_fronts(objs, MIN_MAX)
+        assert got == _oracle_fronts(objs, MIN_MAX)
+
+
+# few distinct values, so ties between points are the rule, plus the values
+# whose order is easiest to get wrong: signed zeros and infinities
+_TIE_HEAVY = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, math.inf, -math.inf])
+# from this many points on, pareto_filter splits its rows into blocks
+_FIRST_BLOCKED = math.isqrt(metrics._BLOCK_ENTRIES) + 1
+
+
+@st.composite
+def _populations(draw):
+    """(objectives, directions): 0-400 points of 1-3 objectives whose
+    coordinates come from a small palette of tie-heavy and arbitrary finite
+    values, under any sign combination of directions."""
+    d = draw(st.integers(1, 3))
+    directions = draw(st.tuples(*[st.sampled_from([1, -1])] * d))
+    n = draw(st.one_of(st.integers(0, 400), st.integers(_FIRST_BLOCKED, 400)))
+    values = st.one_of(_TIE_HEAVY, st.floats(allow_nan=False, allow_infinity=False))
+    palette = draw(st.lists(values, min_size=1, max_size=40))
+    picks = draw(st.lists(st.integers(0, len(palette) - 1), min_size=n * d, max_size=n * d))
+    objectives = [tuple(palette[k] for k in picks[i * d : (i + 1) * d]) for i in range(n)]
+    return objectives, directions
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_populations())
+def test_sort_matches_pair_loop_oracle(case):
+    objectives, directions = case
+    assert nsga2.non_dominated_sort(objectives, directions) == pair_loop_sort(objectives, directions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_populations())
+def test_pareto_filter_matches_pairwise_oracle(case):
+    objectives, directions = case
+    expected = [
+        i for i, p in enumerate(objectives)
+        if not any(dominates(q, p, directions) for q in objectives)
+    ]
+    assert pareto_filter(objectives, directions) == expected
+
+
+def test_sort_rejects_nan():
+    # NaN is unordered; a pairwise test that skipped it used to rank (0.5, 0.5) second
+    with pytest.raises(ValueError, match="NaN"):
+        nsga2.non_dominated_sort([(math.nan, 0.9), (0.5, 0.5)], MIN_MAX)
+
+
+def test_archive_rejects_nan():
+    # the initial population goes into the archive before it is ranked
+    def evaluate(genomes, generation):
+        return [(math.nan, 0.5)] + [(0.5, 0.5)] * (len(genomes) - 1)
+
+    with pytest.raises(ValueError, match="NaN"):
+        nsga2.run(evaluate, nsga2.SearchParams(4, 0, ((0, 5),), seed=0))
 
 
 def test_crowding_examples():
@@ -181,7 +245,7 @@ def test_replacement_preserves_size_and_elitism():
         discarded = [ind for ind in union if id(ind) not in kept_ids]
         fronts = nsga2.non_dominated_sort([ind.objectives for ind in union], MIN_MAX)
         rank = {}
-        for r, front in enumerate(fronts.fronts, start=1):
+        for r, front in enumerate(fronts, start=1):
             for i in front:
                 rank[id(union[i])] = r
         worst_kept = max(rank[id(ind)] for ind in survivors)
