@@ -1,6 +1,10 @@
 """Command-line entry point: campaign runner, baseline runner, single-genome
 evaluator, and report regenerator.
 
+`optimize` maps one evaluation task in-process for --workers 1, else over one
+process pool per campaign whose workers read the data once. `optimize` and
+`report` write their outputs through the same export.
+
 Configuration precedence: explicit flags > config file (--config, JSON or
 key=value lines) > preset bundle (--preset) > built-in defaults. The built-in
 defaults reproduce the reference experimental setup (population 100, 300
@@ -11,23 +15,16 @@ generations for the fully-connected model and 120 for the convolutional one,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import data, metrics, nn, nsga2
+from . import data, metrics, nn, nsga2, objectives
 from .nn import TrainConfig
-from .objectives import (
-    BOUNDS_PRESETS,
-    Bounds,
-    EvalEnv,
-    Genome,
-    comm_fraction,
-    evaluate_genome,
-    simulate_genome,
-)
+from .objectives import BOUNDS_PRESETS, Bounds, EvalEnv, Genome, comm_fraction, evaluate_genome
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -150,7 +147,10 @@ def _load_config_file(path: str) -> dict:
 
 def resolve_options(args: argparse.Namespace) -> dict:
     """Merge flags, config file, preset, and defaults into one options dict."""
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    try:
+        file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
     preset = PRESETS.get(getattr(args, "preset", None) or file_cfg.get("preset", ""), {})
     options = {}
     for key, default in DEFAULTS.items():
@@ -163,6 +163,9 @@ def resolve_options(args: argparse.Namespace) -> dict:
             options[key] = preset[key]
         else:
             options[key] = default
+    for key, choices in (("model", MODEL_SPECS), ("bounds", BOUNDS_PRESETS)):
+        if options[key] not in choices:
+            raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {options[key]!r}")
     if options["generations"] is None:
         options["generations"] = GENERATIONS_BY_MODEL[options["model"]]
     options["mnist_dir"] = getattr(args, "mnist_dir", None) or file_cfg.get("mnist_dir") or None
@@ -223,17 +226,42 @@ def _build_env(options: dict, run_seed: int) -> EvalEnv:
     return _make_env(options, train, test, run_seed)
 
 
-_WORKER_ENV: EvalEnv | None = None
+# This process's share of the running campaign: options, datasets, and the
+# environment of the run seed it last evaluated for.
+_CAMPAIGN: dict = {}
 
 
-def _worker_init(options: dict, run_seed: int) -> None:
-    global _WORKER_ENV
-    _WORKER_ENV = _build_env(options, run_seed)
+def _start_campaign(options: dict, datasets=None) -> None:
+    """Hold a campaign's options and datasets in this process, loading the
+    datasets unless given; the pool's initializer, run once per worker."""
+    train, test = datasets or _load_datasets(options)
+    _CAMPAIGN.clear()
+    _CAMPAIGN.update(options=options, train=train, test=test, env=None)
 
 
-def _worker_eval(task) -> tuple[float, float]:
-    generation, index, vector = task
-    return evaluate_genome(Genome.from_vector(vector), _WORKER_ENV, generation, index).as_pair()
+def _evaluate_task(task) -> tuple[float, float]:
+    """(f1, f2) of one genome; task is (run_seed, generation, index, vector)."""
+    run_seed, generation, index, vector = task
+    env = _CAMPAIGN["env"]
+    if env is None or env.seed != run_seed:
+        _CAMPAIGN["env"] = None  # free the last run's shards before building the next
+        env = _CAMPAIGN["env"] = _make_env(_CAMPAIGN["options"], _CAMPAIGN["train"], _CAMPAIGN["test"], run_seed)
+    return evaluate_genome(Genome.from_vector(vector), env, generation, index).as_pair()
+
+
+@contextlib.contextmanager
+def _task_map(options: dict, train, test):
+    """The map that runs evaluation tasks: the builtin map in this process
+    for one worker, else the map of one process pool for the whole campaign."""
+    if options["workers"] == 1:
+        _start_campaign(options, (train, test))
+        try:
+            yield map
+        finally:
+            _CAMPAIGN.clear()
+    else:
+        with ProcessPoolExecutor(options["workers"], initializer=_start_campaign, initargs=(options,)) as pool:
+            yield pool.map
 
 
 def _campaign_manifest(options: dict, bounds: Bounds) -> dict:
@@ -276,99 +304,78 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
     run_fronts: list[list[metrics.ParetoPoint]] = []
     hv_tables = []
-    for run_id in range(1, options["runs"] + 1):
-        run_seed = options["seed"] + run_id - 1
-        params = nsga2.SearchParams(
-            population_size=options["pop"],
-            generations=options["generations"],
-            bounds=tuple(bounds.coordinate_ranges()),
-            seed=run_seed,
-        )
-        if options["workers"] > 1:
-            with ProcessPoolExecutor(
-                max_workers=options["workers"], initializer=_worker_init, initargs=(options, run_seed)
-            ) as pool:
-                def evaluate(genomes, generation):
-                    tasks = [(generation, i, g) for i, g in enumerate(genomes)]
-                    return list(pool.map(_worker_eval, tasks))
-
-                result = nsga2.run(evaluate, params, directions=(1, -1), hv_reference=metrics.HV_REFERENCE)
-        else:
-            env = _make_env(options, train, test, run_seed)
+    with _task_map(options, train, test) as map_tasks:
+        for run_id in range(1, options["runs"] + 1):
+            run_seed = options["seed"] + run_id - 1
+            params = nsga2.SearchParams(
+                population_size=options["pop"],
+                generations=options["generations"],
+                bounds=tuple(bounds.coordinate_ranges()),
+                seed=run_seed,
+            )
 
             def evaluate(genomes, generation):
-                return [
-                    evaluate_genome(Genome.from_vector(g), env, generation, i).as_pair()
-                    for i, g in enumerate(genomes)
-                ]
+                tasks = [(run_seed, generation, i, g) for i, g in enumerate(genomes)]
+                return list(map_tasks(_evaluate_task, tasks))
 
             result = nsga2.run(evaluate, params, directions=(1, -1), hv_reference=metrics.HV_REFERENCE)
-
-        run_fronts.append(_front_points(result, run_id, options["generations"]))
-        hv_tables.append([(r.generation, r.hv_front, r.evaluations, r.hv_archive) for r in result.history])
-        _write_generation_log(out / f"generations_run{run_id}.jsonl", result.history)
-        print(f"run {run_id}/{options['runs']}: front size {len(run_fronts[-1])}, evaluations {result.evaluations}")
+            run_fronts.append(_front_points(result, run_id, options["generations"]))
+            hv_tables.append([(r.generation, r.hv_front, r.evaluations, r.hv_archive) for r in result.history])
+            _write_generation_log(out / f"generations_run{run_id}.jsonl", result.history)
+            print(f"run {run_id}/{options['runs']}: front size {len(run_fronts[-1])}, evaluations {result.evaluations}")
 
     manifest = _campaign_manifest(options, bounds)
     (out / "campaign.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
     )
-    summary = metrics.export_campaign(out, run_fronts, hv_tables, bounds, manifest)
+    _print_merged(metrics.export_campaign(out, run_fronts, hv_tables, bounds, manifest))
+    return EXIT_OK
+
+
+def _print_merged(summary: dict) -> None:
     print(
         f"merged front: {summary['merged_front_size']} points, "
         f"best f2 {summary['best_f2']}, min f1 {summary['min_f1']}"
     )
-    return EXIT_OK
 
 
 def brute_force_genome(n_clients: int, n_layers: int) -> Genome:
     return Genome(n_clients, 1, (0,) * n_layers, (32,) * n_layers)
 
 
-def _objective_json(vector) -> dict:
+def _simulate_payload(genome: Genome, env: EvalEnv, args: argparse.Namespace) -> dict:
+    """Simulate one genome, one JSON line per round to --trace if given, and
+    return the {genome, objectives, ledger} payload."""
+    trace_file = open(args.trace, "w", encoding="utf-8", newline="\n") if args.trace else contextlib.nullcontext()
+    with trace_file as handle:
+        trace = (lambda row: handle.write(json.dumps(row) + "\n")) if handle else None
+        vector, outcome = objectives.simulate_genome(genome, env, trace=trace, trace_accuracy=args.trace_accuracy)
+    ledger = outcome.ledger if outcome else None
     return {
-        "f1": vector.comm_fraction,
-        "f2": vector.accuracy,
-        "alpha": vector.alpha,
-        "beta": vector.beta,
-        "n_correct": vector.n_correct,
-        "n_test": vector.n_test,
-        "failed": vector.failed,
-        "note": vector.note,
+        "genome": list(genome.to_vector()),
+        "objectives": {
+            "f1": vector.comm_fraction,
+            "f2": vector.accuracy,
+            "alpha": vector.alpha,
+            "beta": vector.beta,
+            "n_correct": vector.n_correct,
+            "n_test": vector.n_test,
+            "failed": vector.failed,
+            "note": vector.note,
+        },
+        "ledger": None if ledger is None else {
+            "rounds": ledger.rounds_executed,
+            "uplink_bits": ledger.uplink_bits,
+            "downlink_bits": ledger.downlink_bits,
+            "baseline_bits": ledger.baseline_bits,
+        },
     }
-
-
-def _ledger_json(ledger) -> dict:
-    return {
-        "rounds": ledger.rounds_executed,
-        "uplink_bits": ledger.uplink_bits,
-        "downlink_bits": ledger.downlink_bits,
-        "baseline_bits": ledger.baseline_bits,
-    }
-
-
-def _open_trace(path_str, trace_accuracy):
-    if not path_str:
-        return None, None, False
-    handle = open(path_str, "w", encoding="utf-8", newline="\n")
-    return handle, (lambda row: handle.write(json.dumps(row) + "\n")), trace_accuracy
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     options = resolve_options(args)
     env = _build_env(options, options["seed"])
-    genome = brute_force_genome(env.n_clients, env.spec.n_arrays)
-    handle, trace, trace_acc = _open_trace(args.trace, args.trace_accuracy)
-    try:
-        vector, outcome = simulate_genome(genome, env, trace=trace, trace_accuracy=trace_acc)
-    finally:
-        if handle:
-            handle.close()
-    payload = {
-        "genome": list(genome.to_vector()),
-        "objectives": _objective_json(vector),
-        "ledger": _ledger_json(outcome.ledger) if outcome else None,
-    }
+    payload = _simulate_payload(brute_force_genome(env.n_clients, env.spec.n_arrays), env, args)
     out = Path(options["out"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "baseline.json").write_text(
@@ -380,7 +387,10 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 def _parse_genome_arg(text: str) -> Genome:
     if text.startswith("@"):
-        text = Path(text[1:]).read_text(encoding="utf-8")
+        try:
+            text = Path(text[1:]).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read genome file {text[1:]}: {exc}") from exc
     try:
         vec = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -396,7 +406,7 @@ def _parse_genome_arg(text: str) -> Genome:
 def cmd_eval(args: argparse.Namespace) -> int:
     options = resolve_options(args)
     genome = _parse_genome_arg(args.genome)
-    bounds_name = args.bounds or "default"
+    bounds_name = options["bounds"]
 
     if args.layer_sizes:
         try:
@@ -423,18 +433,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         genome.validate(bounds)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    handle, trace, trace_acc = _open_trace(args.trace, args.trace_accuracy)
-    try:
-        vector, outcome = simulate_genome(genome, env, trace=trace, trace_accuracy=trace_acc)
-    finally:
-        if handle:
-            handle.close()
-    payload = {
-        "genome": list(genome.to_vector()),
-        "objectives": _objective_json(vector),
-        "ledger": _ledger_json(outcome.ledger) if outcome else None,
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(_simulate_payload(genome, env, args), indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -443,8 +442,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     manifest_path = out / "campaign.json"
     if not manifest_path.is_file():
         raise DataError(f"missing {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    runs = int(manifest["runs"])
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        runs = int(manifest["runs"])
+        bounds = Bounds(
+            n_clients=int(manifest["n_clients"]),
+            n_layers=int(manifest["n_layers"]),
+            interval_max=int(manifest["interval_max"]),
+        )
+    except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{manifest_path} is not a campaign manifest: {type(exc).__name__}: {exc}") from exc
     missing = []
     for k in range(1, runs + 1):
         for name in (f"pareto_run{k}.csv", f"hypervolume_run{k}.csv"):
@@ -455,20 +462,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     run_fronts = [metrics.read_pareto_csv(out / f"pareto_run{k}.csv") for k in range(1, runs + 1)]
     hv_tables = [metrics.read_hypervolume_csv(out / f"hypervolume_run{k}.csv") for k in range(1, runs + 1)]
-    bounds = Bounds(
-        n_clients=int(manifest["n_clients"]),
-        n_layers=int(manifest["n_layers"]),
-        interval_max=int(manifest["interval_max"]),
-    )
-    merged = metrics.merge_pseudo_optimal(run_fronts)
-    metrics.write_pareto_csv(out / "pareto_merged.csv", merged, bounds.n_layers)
-    metrics.write_genome_stats_csv(out / "genome_stats.csv", metrics.genome_stats_rows(run_fronts, bounds))
-    summary = metrics.build_summary(run_fronts, merged, hv_tables, manifest)
-    metrics.write_summary(out / "summary.json", summary)
-    print(
-        f"merged front: {summary['merged_front_size']} points, "
-        f"best f2 {summary['best_f2']}, min f1 {summary['min_f1']}"
-    )
+    _print_merged(metrics.export_campaign(out, run_fronts, hv_tables, bounds, manifest))
     return EXIT_OK
 
 

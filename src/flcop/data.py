@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,12 @@ class LabeledDataset:
         return self.images.shape[0]
 
     def take(self, indices: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(self.images[indices], self.labels[indices])
+        """The rows at a 1-D index array. Rows of a checked dataset need no
+        second check, so the subset skips __post_init__."""
+        subset = object.__new__(LabeledDataset)
+        object.__setattr__(subset, "images", self.images[indices])
+        object.__setattr__(subset, "labels", self.labels[indices])
+        return subset
 
 
 @dataclass(frozen=True)
@@ -57,11 +62,6 @@ class ClientPartition:
     """Disjoint shards of a dataset, one per client."""
 
     shards: tuple[LabeledDataset, ...]
-    owner_ids: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        if not self.owner_ids:
-            object.__setattr__(self, "owner_ids", tuple(range(len(self.shards))))
 
     @property
     def n_clients(self) -> int:
@@ -105,17 +105,6 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
 
     images = pixels[: count * 784].reshape(count, 784).astype(np.float32) / np.float32(255.0)
     return LabeledDataset(images, labels[:count].astype(np.int64))
-
-
-def write_idx(ds: LabeledDataset, images_path, labels_path) -> None:
-    """Write a dataset back to the IDX container (exact inverse of load_idx)."""
-    pixels = np.rint(ds.images * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">4i", IMAGE_MAGIC, ds.count, 28, 28))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">2i", LABEL_MAGIC, ds.count))
-        f.write(ds.labels.astype(np.uint8).tobytes())
 
 
 def load_mnist(mnist_dir) -> tuple[LabeledDataset, LabeledDataset]:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .codec import LayerCompressionSpec
 from .data import ClientPartition, LabeledDataset
 from .federation import FLRunConfig, run_federated_training
@@ -47,16 +45,12 @@ class Bounds:
         )
 
 
-def default_bounds(n_clients: int, n_layers: int) -> Bounds:
-    return Bounds(n_clients, n_layers)
-
-
 def mutation_narrow_bounds(n_clients: int, n_layers: int) -> Bounds:
     """Narrower interval range exposed as a preset rather than silently chosen."""
     return Bounds(n_clients, n_layers, interval_max=100)
 
 
-BOUNDS_PRESETS = {"default": default_bounds, "mutation-narrow": mutation_narrow_bounds}
+BOUNDS_PRESETS = {"default": Bounds, "mutation-narrow": mutation_narrow_bounds}
 
 
 @dataclass(frozen=True)
@@ -127,23 +121,6 @@ def comm_fraction(genome: Genome, layer_sizes, n_clients: int) -> tuple[float, f
     )
     beta = (genome.participants * numerator) / (n_clients * genome.interval * 3200 * total)
     return alpha, beta, (alpha + beta) / 2
-
-
-def random_genome(bounds: Bounds, rng: np.random.Generator) -> Genome:
-    """Uniform integer draw within every coordinate's closed range."""
-    ranges = bounds.coordinate_ranges()
-    lows = np.array([lo for lo, _ in ranges])
-    highs = np.array([hi for _, hi in ranges])
-    return Genome.from_vector(rng.integers(lows, highs + 1))
-
-
-def clamp(genome: Genome, bounds: Bounds) -> Genome:
-    """Project every coordinate onto its closed range."""
-    vec = [
-        min(max(v, lo), hi)
-        for v, (lo, hi) in zip(genome.to_vector(), bounds.coordinate_ranges())
-    ]
-    return Genome.from_vector(vec)
 
 
 @dataclass

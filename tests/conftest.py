@@ -1,4 +1,5 @@
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from flcop import codec, data
 from flcop.nn import TrainConfig
-from flcop.objectives import EvalEnv
+from flcop.objectives import Bounds, EvalEnv, Genome
 from flcop import nn
 
 
@@ -98,6 +99,25 @@ def pair_loop_sort(objectives, directions) -> tuple[tuple[int, ...], ...]:
     return tuple(fronts)
 
 
+def random_genome(bounds: Bounds, rng: np.random.Generator) -> Genome:
+    """Uniform integer draw within every coordinate's closed range."""
+    ranges = bounds.coordinate_ranges()
+    lows = np.array([lo for lo, _ in ranges])
+    highs = np.array([hi for _, hi in ranges])
+    return Genome.from_vector(rng.integers(lows, highs + 1))
+
+
+def write_idx(ds: data.LabeledDataset, images_path, labels_path) -> None:
+    """Write a dataset to the IDX container (exact inverse of data.load_idx)."""
+    pixels = np.rint(ds.images * 255.0).astype(np.uint8)
+    with open(images_path, "wb") as f:
+        f.write(struct.pack(">4i", data.IMAGE_MAGIC, ds.count, 28, 28))
+        f.write(pixels.tobytes())
+    with open(labels_path, "wb") as f:
+        f.write(struct.pack(">2i", data.LABEL_MAGIC, ds.count))
+        f.write(ds.labels.astype(np.uint8).tobytes())
+
+
 def make_synthetic(n: int, seed: int) -> data.LabeledDataset:
     """Learnable MNIST-shaped stand-in: noisy class prototypes on a byte grid.
 
@@ -116,8 +136,8 @@ def make_synthetic(n: int, seed: int) -> data.LabeledDataset:
 def fixture_mnist_dir(tmp_path_factory) -> Path:
     """Directory of synthetic IDX files in the standard MNIST layout."""
     d = tmp_path_factory.mktemp("idx")
-    data.write_idx(make_synthetic(1024, 0), d / data.TRAIN_IMAGES, d / data.TRAIN_LABELS)
-    data.write_idx(make_synthetic(256, 1), d / data.TEST_IMAGES, d / data.TEST_LABELS)
+    write_idx(make_synthetic(1024, 0), d / data.TRAIN_IMAGES, d / data.TRAIN_LABELS)
+    write_idx(make_synthetic(256, 1), d / data.TEST_IMAGES, d / data.TEST_LABELS)
     return d
 
 

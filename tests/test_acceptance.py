@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from flcop import cli, codec, metrics, nn, nsga2
-from flcop.objectives import Bounds, Genome, comm_fraction, random_genome
-from conftest import find_mnist_dir, requires_mnist
+from flcop.objectives import Bounds, Genome, comm_fraction
+from conftest import find_mnist_dir, random_genome, requires_mnist
 from test_nn import TOY_CONV, TOY_FC, _finite_difference_check
 
 

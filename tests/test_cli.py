@@ -1,4 +1,6 @@
 import json
+import shutil
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -70,11 +72,42 @@ def test_eval_synthetic_layer_sizes(capsys):
     assert payload["ledger"] is None
 
 
-def test_eval_rejects_invalid_genomes(fixture_mnist_dir, capsys):
+def test_eval_rejects_invalid_genomes(fixture_mnist_dir, tmp_path, capsys):
     assert run_cli("eval", "[4,1,0,0,0,0,0,0,0,0]", "--mnist-dir", fixture_mnist_dir) == 1
     assert run_cli("eval", "not json", "--mnist-dir", fixture_mnist_dir) == 1
     assert run_cli("eval", "[1,2,3]", "--mnist-dir", fixture_mnist_dir) == 1
+    assert run_cli("eval", f"@{tmp_path / 'missing.json'}", "--mnist-dir", fixture_mnist_dir) == 1
     assert "outside" in capsys.readouterr().err or True
+
+
+def test_unknown_model_or_bounds_in_config_file_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "conf.json"
+    for key, value in (("model", "mlp"), ("bounds", "wide")):
+        cfg.write_text(json.dumps({key: value}))
+        assert run_cli("optimize", "--config", cfg) == 1
+        assert f"{key} must be one of" in capsys.readouterr().err
+
+
+def test_unreadable_config_file_is_config_error(tmp_path):
+    assert run_cli("optimize", "--config", tmp_path / "missing.json") == 1
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert run_cli("optimize", "--config", bad) == 1
+
+
+def test_eval_uses_bounds_from_config_file(tmp_path):
+    genome = "[4,101,0,0,32,32]"  # E = 101 is outside mutation-narrow's [1, 100]
+    assert run_cli("eval", genome, "--layer-sizes", "10,10") == 0
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"bounds": "mutation-narrow"}))
+    assert run_cli("eval", genome, "--layer-sizes", "10,10", "--config", cfg) == 1
+
+
+@pytest.mark.parametrize("manifest", ["not json", '{"n_clients": 4}', "[1, 2]"])
+def test_report_rejects_bad_manifest(tmp_path, capsys, manifest):
+    (tmp_path / "campaign.json").write_text(manifest)
+    assert run_cli("report", tmp_path) == 2
+    assert "campaign.json" in capsys.readouterr().err
 
 
 def test_odd_population_rejected(fixture_mnist_dir):
@@ -146,6 +179,18 @@ def test_report_is_idempotent(campaign_dir):
     assert _campaign_bytes(campaign_dir) == before
 
 
+def test_report_rebuilds_deleted_outputs(campaign_dir, tmp_path):
+    out = tmp_path / "campaign"
+    shutil.copytree(campaign_dir, out)
+    regenerated = ("pareto_merged.csv", "genome_stats.csv", "summary.json")
+    before = {name: (out / name).read_bytes() for name in regenerated}
+    for name in regenerated:
+        (out / name).unlink()
+    assert run_cli("report", out) == 0
+    assert {name: (out / name).read_bytes() for name in regenerated} == before
+    assert _campaign_bytes(out) == _campaign_bytes(campaign_dir)
+
+
 def test_report_names_missing_files(campaign_dir, capsys):
     moved = campaign_dir / "pareto_run2.csv"
     stash = moved.read_bytes()
@@ -159,14 +204,36 @@ def test_report_names_missing_files(campaign_dir, capsys):
 
 
 def test_campaign_deterministic_across_workers(fixture_mnist_dir, tmp_path):
-    common = [
-        "optimize", "--mnist-dir", fixture_mnist_dir,
-        "--pop", 6, "--generations", 2, "--runs", 1, "--seed", 3,
+    base = ["optimize", "--mnist-dir", fixture_mnist_dir, "--pop", 6, "--generations", 2]
+    assert run_cli(*base, "--runs", 2, "--seed", 3, "--out", tmp_path / "w1", "--workers", 1) == 0
+    assert run_cli(*base, "--runs", 2, "--seed", 3, "--out", tmp_path / "w2", "--workers", 2) == 0
+    names = sorted(p.name for p in (tmp_path / "w1").iterdir() if p.suffix in (".csv", ".jsonl"))
+    assert "generations_run2.jsonl" in names and "pareto_run2.csv" in names
+    for name in names:
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
+    # run 2 (seed 4) must not depend on run 1: it equals a campaign that starts at seed 4
+    assert run_cli(*base, "--runs", 1, "--seed", 4, "--out", tmp_path / "s4", "--workers", 2) == 0
+    run2 = (tmp_path / "w2" / "generations_run2.jsonl").read_bytes()
+    assert (tmp_path / "s4" / "generations_run1.jsonl").read_bytes() == run2
+
+
+def test_one_process_pool_per_campaign(fixture_mnist_dir, tmp_path, monkeypatch):
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    argv = [
+        "optimize", "--mnist-dir", fixture_mnist_dir, "--out", tmp_path,
+        "--pop", 4, "--generations", 1, "--runs", 3, "--seed", 2,
     ]
-    assert run_cli(*common, "--out", tmp_path / "w1", "--workers", 1) == 0
-    assert run_cli(*common, "--out", tmp_path / "w3", "--workers", 3) == 0
-    for name in ("pareto_run1.csv", "pareto_merged.csv", "hypervolume_run1.csv", "genome_stats.csv"):
-        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w3" / name).read_bytes()
+    assert run_cli(*argv, "--workers", 2) == 0
+    assert len(pools) == 1
+    assert run_cli(*argv, "--workers", 1) == 0
+    assert len(pools) == 1  # the serial path maps in-process
 
 
 def test_config_file_and_flag_precedence(fixture_mnist_dir, tmp_path):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from flcop import data
-from conftest import make_synthetic
+from conftest import make_synthetic, write_idx
 
 
 def test_idx_round_trip(tmp_path):
     ds = make_synthetic(50, 4)
-    data.write_idx(ds, tmp_path / "imgs", tmp_path / "labs")
+    write_idx(ds, tmp_path / "imgs", tmp_path / "labs")
     back = data.load_idx(tmp_path / "imgs", tmp_path / "labs")
     assert np.array_equal(back.images, ds.images)
     assert np.array_equal(back.labels, ds.labels)
@@ -45,7 +45,7 @@ def test_wrong_geometry_rejected(tmp_path):
 
 def test_pixels_scaled_to_unit_interval(tmp_path):
     ds = make_synthetic(20, 5)
-    data.write_idx(ds, tmp_path / "imgs", tmp_path / "labs")
+    write_idx(ds, tmp_path / "imgs", tmp_path / "labs")
     back = data.load_idx(tmp_path / "imgs", tmp_path / "labs")
     assert back.images.min() >= 0.0 and back.images.max() <= 1.0
     assert back.images.dtype == np.float32
@@ -111,3 +111,26 @@ def test_subsample_takes_seeded_permutation_prefix():
     assert np.array_equal(sub.images, ds.images[order[:10]])
     assert data.subsample(ds, None, seed=21) is ds
     assert data.subsample(ds, 100, seed=21) is ds
+
+
+def test_take_equals_fancy_indexing():
+    ds = make_synthetic(40, 6)
+    idx = np.array([5, 0, 39, 5, 17])
+    subset = ds.take(idx)
+    assert np.array_equal(subset.images, ds.images[idx])
+    assert np.array_equal(subset.labels, ds.labels[idx])
+    assert subset.count == 5
+
+
+def test_external_dataset_still_checked():
+    images = np.zeros((3, 784), np.float32)
+    labels = np.array([0, 1, 2])
+    data.LabeledDataset(images, labels)
+    with pytest.raises(ValueError, match="one row per example"):
+        data.LabeledDataset(images, labels[:2])
+    with pytest.raises(ValueError, match="labels"):
+        data.LabeledDataset(images, np.array([0, 1, 10]))
+    bright = images.copy()
+    bright[1, 7] = 1.5
+    with pytest.raises(ValueError, match="pixels"):
+        data.LabeledDataset(bright, labels)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flcop import federation, nn, objectives
 from flcop.codec import payload_bits
 from flcop.data import partition
 from flcop.federation import run_federated_training
-from flcop.objectives import Bounds, EvalEnv, Genome, clamp, comm_fraction, random_genome
-from conftest import make_synthetic
+from flcop.objectives import Bounds, EvalEnv, Genome, comm_fraction
+from conftest import make_synthetic, random_genome
 
 
 def test_brute_force_genome_is_exactly_one():
@@ -103,20 +105,12 @@ def test_random_genome_bits_roughly_uniform():
     assert np.abs(freqs - 1 / 32).max() < 0.01
 
 
-def test_clamp_projects_each_coordinate():
-    bounds = Bounds(4, 2)
-    g = Genome(9, 2000, (77, -3), (0, 40))
-    c = clamp(g, bounds)
-    assert c == Genome(4, 1000, (50, 0), (1, 32))
-    c.validate(bounds)
-
-
 def test_genome_vector_round_trip_and_bounds_presets():
     g = Genome(2, 20, (10, 45, 2), (2, 20, 15))
     assert g.to_vector() == (2, 20, 10, 45, 2, 2, 20, 15)
     assert Genome.from_vector(g.to_vector()) == g
     assert objectives.mutation_narrow_bounds(4, 3).interval_max == 100
-    assert objectives.default_bounds(4, 3).interval_max == 1000
+    assert objectives.BOUNDS_PRESETS["default"](4, 3).interval_max == 1000
     assert Bounds(4, 3).dimension == 8
     with pytest.raises(ValueError):
         Genome.from_vector([1, 2, 3])
@@ -159,28 +153,47 @@ def test_non_finite_local_model_marks_genome_failed(tiny_env, monkeypatch):
     assert "non-finite values in parameter array" in vector.note
 
 
-def test_ledger_agrees_with_closed_form():
-    train = make_synthetic(256, 5)
-    test = make_synthetic(64, 6)
-    part = partition(train, 4, seed=3)
-    env = EvalEnv(nn.fully_connected(), part, test, nn.TrainConfig(0.1, 16), 1, seed=9)
-    # shard 64 / batch 16 -> 4 iterations; interval 2 divides the budget
-    g = Genome(3, 2, (15, 0, 40, 50), (5, 32, 12, 1))
+LEDGER_TRAIN = partition(make_synthetic(256, 5), 4, seed=3)  # shards of 64
+LEDGER_TEST = make_synthetic(64, 6)
+
+
+@st.composite
+def ledger_cases(draw):
+    """A batch size, giving a budget of 64 / batch iterations, and a genome
+    whose E divides that budget."""
+    batch = draw(st.sampled_from([8, 16, 32, 64]))
+    budget = 64 // batch
+    n_layers = nn.fully_connected().n_arrays
+    genome = Genome(
+        draw(st.integers(1, 4)),
+        draw(st.sampled_from([e for e in range(1, budget + 1) if budget % e == 0])),
+        tuple(draw(st.lists(st.integers(0, 50), min_size=n_layers, max_size=n_layers))),
+        tuple(draw(st.lists(st.integers(1, 32), min_size=n_layers, max_size=n_layers))),
+    )
+    return batch, budget, genome
+
+
+@settings(max_examples=40, deadline=None)
+@given(ledger_cases())
+def test_ledger_agrees_with_closed_form(case):
+    batch, total_iters, g = case
+    env = EvalEnv(nn.fully_connected(), LEDGER_TRAIN, LEDGER_TEST, nn.TrainConfig(0.1, batch), 1, seed=9)
     cfg = objectives.build_run_config(g, env)
-    outcome = run_federated_training(cfg, part, test, seed=1)
+    outcome = run_federated_training(cfg, LEDGER_TRAIN, LEDGER_TEST, seed=1)
     sizes = env.spec.param_shapes
     theta = 32 * sum(sizes)
-    total_iters = 4
     alpha, beta, _ = comm_fraction(g, sizes, 4)
+    assert outcome.ledger.rounds_executed == total_iters // g.interval
     assert outcome.ledger.downlink_bits == alpha * (total_iters * 4 * theta)
     # uplink modelled by the closed form, up to per-layer ceil rounding and
     # the 64-bit extrema overhead the formula deliberately ignores
     rounds = outcome.ledger.rounds_executed
+    m = g.participants
     extrema = 64 * len(sizes)
     modelled = beta * (total_iters * 4 * theta)
-    actual = outcome.ledger.uplink_bits - rounds * 3 * extrema
-    assert abs(actual - modelled) <= rounds * 3 * len(sizes) * 32
-    assert outcome.ledger.uplink_bits == rounds * 3 * payload_bits(cfg.layer_specs, sizes)
+    actual = outcome.ledger.uplink_bits - rounds * m * extrema
+    assert abs(actual - modelled) <= rounds * m * len(sizes) * 32
+    assert outcome.ledger.uplink_bits == rounds * m * payload_bits(cfg.layer_specs, sizes)
 
 
 def test_simulate_genome_returns_outcome(tiny_env):
