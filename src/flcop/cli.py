@@ -64,6 +64,13 @@ PRESETS = {
 
 MODEL_SPECS = {"fc": nn.fully_connected, "conv": nn.convolutional}
 
+# the value types a config file may give each key; null is also accepted
+# where the default is None, and for preset and mnist_dir
+_CONFIG_TYPES = {key: (type(value),) for key, value in DEFAULTS.items() if value is not None}
+_CONFIG_TYPES.update(
+    generations=(int,), train_limit=(int,), test_limit=(int,), lr=(int, float), preset=(str,), mnist_dir=(str,)
+)
+
 
 class ConfigError(ValueError):
     pass
@@ -142,7 +149,20 @@ def _load_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
             loaded[key.strip()] = json.loads(value.strip())
-    return {str(k).replace("-", "_"): v for k, v in loaded.items()}
+    cfg = {str(k).replace("-", "_"): v for k, v in loaded.items()}
+    for key, value in cfg.items():
+        if key not in _CONFIG_TYPES:
+            raise ConfigError(f"{path}: unknown key {key!r}; expected one of {', '.join(sorted(_CONFIG_TYPES))}")
+        if value is None and DEFAULTS.get(key) is None:
+            continue
+        expected = _CONFIG_TYPES[key]
+        # bool is an int subclass, but true is no population size
+        if isinstance(value, bool) or not isinstance(value, expected):
+            names = " or ".join(t.__name__ for t in expected)
+            raise ConfigError(f"{path}: {key} must be {names}, got {value!r}")
+    if cfg.get("preset") is not None and cfg["preset"] not in PRESETS:
+        raise ConfigError(f"{path}: preset must be one of {', '.join(PRESETS)}, got {cfg['preset']!r}")
+    return cfg
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
@@ -151,7 +171,7 @@ def resolve_options(args: argparse.Namespace) -> dict:
         file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-    preset = PRESETS.get(getattr(args, "preset", None) or file_cfg.get("preset", ""), {})
+    preset = PRESETS.get(getattr(args, "preset", None) or file_cfg.get("preset"), {})
     options = {}
     for key, default in DEFAULTS.items():
         cli_value = getattr(args, key, None)

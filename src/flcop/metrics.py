@@ -36,13 +36,15 @@ class ParetoPoint:
 _BLOCK_ENTRIES = 1 << 17
 
 
-def dominated_by(points: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-    """Entry [r, j] is true iff points[j] strictly dominates points[rows][r]:
-    no worse in every objective and better in one, where `points` is an (n, d)
-    float64 array already mapped to minimisation. NaN raises ValueError."""
-    if np.isnan(points).any():
+def dominated_by(points: np.ndarray, block: np.ndarray | None = None) -> np.ndarray:
+    """Entry [r, j] is true iff points[j] strictly dominates block[r]: no
+    worse in every objective and better in one. `points` is an (n, d) and
+    `block` an (r, d) float64 array, both already mapped to minimisation;
+    `block` defaults to all of `points`. NaN raises ValueError."""
+    if block is None:
+        block = points
+    if np.isnan(points).any() or np.isnan(block).any():
         raise ValueError("objective values must not be NaN")
-    block = points[rows]
     no_worse = np.ones((len(block), len(points)), bool)
     better = np.zeros_like(no_worse)
     # 2-D comparisons one objective at a time: broadcasting over a trailing
@@ -63,36 +65,43 @@ def pareto_filter(points: Sequence[tuple[float, ...]], directions: Sequence[int]
     arr = np.asarray(points, np.float64).reshape(len(points), len(directions)) * np.asarray(directions)
     step = max(1, _BLOCK_ENTRIES // max(1, len(arr)))
     keep = [
-        start + np.flatnonzero(~dominated_by(arr, slice(start, start + step)).any(axis=1))
+        start + np.flatnonzero(~dominated_by(arr, arr[start : start + step]).any(axis=1))
         for start in range(0, len(arr), step)
     ]
     return np.concatenate(keep).tolist() if keep else []
 
 
 def hypervolume(points: Sequence[tuple[float, float]], reference: tuple[float, float] = HV_REFERENCE) -> float:
-    """Area dominated by the front within the reference box.
+    """Area dominated by the points within the reference box.
 
-    The front is swept by ascending f1; each point contributes the rectangle
-    from the reference f1 back to its own, over the f2 span it adds above the
-    running ceiling. Dominated input points are filtered first and contribute
-    nothing; a point strictly outside the reference box, or with a NaN
-    coordinate, is an error.
+    One sweep by ascending f1, ties by descending f2, under a running ceiling
+    that starts at the reference f2: a point whose f2 rises above the ceiling
+    contributes the rectangle from the reference f1 back to its own f1, over
+    the span it adds. A dominated or repeated point always meets a ceiling at
+    or above its own f2, set by a point sorted before it, so it adds nothing
+    and needs no filter. The terms are added in sweep order, as a loop over
+    the filtered front would add them. A point strictly outside the
+    reference box, or with a NaN coordinate, is an error.
     """
     f1_ref, f2_ref = reference
-    for p in points:
-        if p[0] > f1_ref or p[1] < f2_ref:
-            raise ValueError(f"point {tuple(p)} lies outside the reference box {reference}")
-    if not points:
+    arr = np.asarray(points, np.float64).reshape(len(points), 2)
+    outside = np.flatnonzero((arr[:, 0] > f1_ref) | (arr[:, 1] < f2_ref))
+    if outside.size:
+        raise ValueError(f"point {tuple(arr[outside[0]].tolist())} lies outside the reference box {reference}")
+    if np.isnan(arr).any():
+        raise ValueError("objective values must not be NaN")
+    order = np.lexsort((-arr[:, 1], arr[:, 0]))
+    f1, f2 = arr[order, 0], arr[order, 1]
+    ceiling = np.maximum.accumulate(np.concatenate(([f2_ref], f2)))[:-1]
+    rises = f2 > ceiling
+    if not rises.any():
         return 0.0
-    keep = pareto_filter([(p[0], p[1]) for p in points])
-    front = sorted({(points[i][0], points[i][1]) for i in keep})
-    area = 0.0
-    ceiling = f2_ref
-    for f1, f2 in front:
-        if f2 > ceiling:
-            area += (f1_ref - f1) * (f2 - ceiling)
-            ceiling = f2
-    return area
+    # Python float arithmetic: inf and NaN terms are results, not warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (f1_ref - f1[rises]) * (f2[rises] - ceiling[rises])
+        # cumsum adds in sweep order; + 0.0 turns a sum of -0.0 terms into
+        # the +0.0 that a loop starting from area = 0.0 returns
+        return float(np.cumsum(terms)[-1]) + 0.0
 
 
 def merge_pseudo_optimal(runs: Sequence[Sequence[ParetoPoint]]) -> list[ParetoPoint]:

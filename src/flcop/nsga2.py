@@ -141,12 +141,12 @@ def uniform_mutation(
     vec: Vector, bounds: Sequence[tuple[int, int]], rng: np.random.Generator, mutation_prob: float
 ) -> Vector:
     """Independently replace each coordinate, with probability mutation_prob,
-    by a uniform integer from its own closed range."""
-    lows = np.array([lo for lo, _ in bounds])
-    highs = np.array([hi for _, hi in bounds])
+    by a uniform integer from its own closed range. `bounds` may be a
+    (d, 2) integer array, which callers in a loop build once."""
+    b = np.asarray(bounds)
     mask = rng.random(len(vec)) < mutation_prob
-    draws = rng.integers(lows, highs + 1)
-    return tuple(int(d) if m else int(v) for v, d, m in zip(vec, draws, mask))
+    draws = rng.integers(b[:, 0], b[:, 1] + 1)
+    return tuple(np.where(mask, draws, vec).tolist())
 
 
 def assign_ranks_and_crowding(population: list[Individual], directions: Sequence[int]) -> Fronts:
@@ -178,6 +178,46 @@ def replacement(parents: list[Individual], offspring: list[Individual], directio
     return survivors
 
 
+class Archive:
+    """Every non-dominated (objectives, genome, generation) entry seen so far.
+
+    `update` compares only the new points: they are filtered against each
+    other and against the archive, and the archive members a surviving new
+    point dominates are dropped. The archive is already mutually
+    non-dominated, so by transitivity of dominance this equals filtering the
+    archive and the new points together, and no two archive members are
+    ever compared. The order is the same too: archive first, then new points
+    in batch order, the first copy of an (objectives, genome) key kept.
+    """
+
+    def __init__(self, directions: Sequence[int]):
+        self.entries: list[tuple[tuple[float, ...], Vector, int]] = []
+        self.objectives = np.empty((0, len(directions)))  # one row per entry
+        self._sign = np.asarray(directions, np.float64)
+        self._keys: set[tuple] = set()
+
+    def update(self, points: Sequence[tuple[tuple[float, ...], Vector]], generation: int) -> None:
+        """Add the non-dominated ones of these (objectives, genome) points."""
+        objs = np.asarray([p[0] for p in points], np.float64).reshape(len(points), len(self._sign))
+        fresh = np.asarray(pareto_filter(objs, self._sign), np.int64)
+        new = objs[fresh]
+        old = self.objectives * self._sign
+        new_kept = ~dominated_by(old, new * self._sign).any(axis=1)
+        fresh, new = fresh[new_kept], new[new_kept]
+        old_kept = ~dominated_by(new * self._sign, old).any(axis=1)
+        for k in np.flatnonzero(~old_kept).tolist():
+            self._keys.discard(self.entries[k][:2])
+        self.entries = [e for e, keep in zip(self.entries, old_kept.tolist()) if keep]
+        added = []
+        for row, i in enumerate(fresh.tolist()):
+            key = (points[i][0], points[i][1])
+            if key not in self._keys:
+                self._keys.add(key)
+                self.entries.append((*key, generation))
+                added.append(row)
+        self.objectives = np.concatenate([self.objectives[old_kept], new[added]])
+
+
 @dataclass
 class GenerationRecord:
     generation: int
@@ -195,11 +235,10 @@ class SearchResult:
     evaluations: int
 
 
-def _hv_in_box(points, directions, reference) -> float:
+def _hv_in_box(objectives: np.ndarray, directions, reference) -> float:
     # map to the (minimize, maximize) convention of metrics.hypervolume
     d0, d1 = directions
-    mapped = [(d0 * p[0], -d1 * p[1]) for p in points]
-    return hypervolume(mapped, (d0 * reference[0], -d1 * reference[1]))
+    return hypervolume(objectives * (d0, -d1), (d0 * reference[0], -d1 * reference[1]))
 
 
 def run(
@@ -213,18 +252,19 @@ def run(
 
     History records each generation's first front and, when hv_reference is
     given, the hypervolume of that front and of the running archive of all
-    non-dominated points seen so far.
+    non-dominated points seen so far. The archive takes each generation's
+    new points incrementally (see Archive): its members are never compared
+    with each other again.
     """
     rng = np.random.default_rng(params.seed)
-    lows = np.array([lo for lo, _ in params.bounds])
-    highs = np.array([hi for _, hi in params.bounds])
+    bounds = np.asarray(params.bounds)
 
     population = [
-        Individual(tuple(int(v) for v in rng.integers(lows, highs + 1)))
+        Individual(tuple(rng.integers(bounds[:, 0], bounds[:, 1] + 1).tolist()))
         for _ in range(params.population_size)
     ]
     evaluations = 0
-    archive: list[tuple[tuple[float, ...], Vector, int]] = []
+    archive = Archive(directions)
     history: list[GenerationRecord] = []
 
     def eval_all(individuals: list[Individual], generation: int) -> None:
@@ -234,29 +274,17 @@ def run(
             ind.objectives = tuple(float(v) for v in objs)
         evaluations += len(individuals)
 
-    def update_archive(individuals: list[Individual], generation: int) -> None:
-        merged = archive + [(ind.objectives, ind.genome, generation) for ind in individuals]
-        keep = pareto_filter([m[0] for m in merged], directions)
-        seen: set[tuple] = set()
-        fresh = []
-        for i in keep:
-            key = (merged[i][0], merged[i][1])
-            if key not in seen:
-                seen.add(key)
-                fresh.append(merged[i])
-        archive[:] = fresh
-
     def record(generation: int) -> None:
         first = min(ind.rank for ind in population)
         front = [(ind.objectives, ind.genome) for ind in population if ind.rank == first]
         hv_front = hv_archive = 0.0
         if hv_reference is not None:
-            hv_front = _hv_in_box([f[0] for f in front], directions, hv_reference)
-            hv_archive = _hv_in_box([a[0] for a in archive], directions, hv_reference)
+            hv_front = _hv_in_box(np.asarray([f[0] for f in front], np.float64), directions, hv_reference)
+            hv_archive = _hv_in_box(archive.objectives, directions, hv_reference)
         history.append(GenerationRecord(generation, front, hv_front, hv_archive, evaluations))
 
     eval_all(population, 0)
-    update_archive(population, 0)
+    archive.update([(ind.objectives, ind.genome) for ind in population], 0)
     assign_ranks_and_crowding(population, directions)
     record(0)
 
@@ -268,12 +296,12 @@ def run(
                 population[i].genome, population[j].genome, rng, params.crossover_prob
             )
             for child in (child_a, child_b):
-                mutated = uniform_mutation(child, params.bounds, rng, params.effective_mutation_prob)
+                mutated = uniform_mutation(child, bounds, rng, params.effective_mutation_prob)
                 offspring.append(Individual(mutated))
         eval_all(offspring, generation)
-        update_archive(offspring, generation)
+        archive.update([(ind.objectives, ind.genome) for ind in offspring], generation)
         population = replacement(population, offspring, directions)
         assign_ranks_and_crowding(population, directions)
         record(generation)
 
-    return SearchResult(population, history, archive, evaluations)
+    return SearchResult(population, history, archive.entries, evaluations)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flcop import codec, data
+from flcop import codec, data, metrics
 from flcop.nn import TrainConfig
 from flcop.objectives import Bounds, EvalEnv, Genome
 from flcop import nn
@@ -97,6 +97,52 @@ def pair_loop_sort(objectives, directions) -> tuple[tuple[int, ...], ...]:
                     nxt.append(j)
         current = sorted(nxt)
     return tuple(fronts)
+
+
+def refilter_archive(archive, points, generation, directions):
+    """Reference archive update: filter the archive and the new (objectives,
+    genome) points together, then keep the first copy of each (objectives,
+    genome) key, archive first and new points in batch order."""
+    merged = archive + [(objectives, genome, generation) for objectives, genome in points]
+    keep = metrics.pareto_filter([m[0] for m in merged], directions)
+    seen: set[tuple] = set()
+    fresh = []
+    for i in keep:
+        key = (merged[i][0], merged[i][1])
+        if key not in seen:
+            seen.add(key)
+            fresh.append(merged[i])
+    return fresh
+
+
+def filter_sweep_hypervolume(points, reference=metrics.HV_REFERENCE) -> float:
+    """Reference hypervolume: check the box, filter the dominated points out,
+    then sweep the distinct front by ascending f1 in a Python loop."""
+    f1_ref, f2_ref = reference
+    for p in points:
+        if p[0] > f1_ref or p[1] < f2_ref:
+            raise ValueError(f"point {tuple(p)} lies outside the reference box {reference}")
+    if not points:
+        return 0.0
+    keep = metrics.pareto_filter([(p[0], p[1]) for p in points])
+    front = sorted({(points[i][0], points[i][1]) for i in keep})
+    area = 0.0
+    ceiling = f2_ref
+    for f1, f2 in front:
+        if f2 > ceiling:
+            area += (f1_ref - f1) * (f2 - ceiling)
+            ceiling = f2
+    return area
+
+
+def bounds_loop_mutation(vec, bounds, rng, mutation_prob):
+    """Reference uniform mutation: bound arrays rebuilt from the pairs on
+    every call, then one mask draw and one integer draw per coordinate."""
+    lows = np.array([lo for lo, _ in bounds])
+    highs = np.array([hi for _, hi in bounds])
+    mask = rng.random(len(vec)) < mutation_prob
+    draws = rng.integers(lows, highs + 1)
+    return tuple(int(d) if m else int(v) for v, d, m in zip(vec, draws, mask))
 
 
 def random_genome(bounds: Bounds, rng: np.random.Generator) -> Genome:

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -82,10 +83,60 @@ def test_eval_rejects_invalid_genomes(fixture_mnist_dir, tmp_path, capsys):
 
 def test_unknown_model_or_bounds_in_config_file_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "conf.json"
-    for key, value in (("model", "mlp"), ("bounds", "wide")):
+    for key, value in (("model", "mlp"), ("bounds", "wide"), ("preset", "desk")):
         cfg.write_text(json.dumps({key: value}))
         assert run_cli("optimize", "--config", cfg) == 1
         assert f"{key} must be one of" in capsys.readouterr().err
+
+
+def test_misspelt_preset_in_config_file_names_the_file_even_with_preset_flag(tmp_path):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"preset": "desk"}))
+    for flags in ([], ["--preset", "desk-fc"]):
+        args = cli.build_parser().parse_args(["optimize", "--config", str(cfg), *flags])
+        with pytest.raises(cli.ConfigError, match=re.escape(f"{cfg}: preset must be one of")):
+            cli.resolve_options(args)
+
+
+def _resolve_config(path):
+    return cli.resolve_options(cli.build_parser().parse_args(["optimize", "--config", str(path)]))
+
+
+def _config_files(tmp_path, entries: dict) -> list:
+    """The same entries as a JSON file and as a key=value file."""
+    as_json = tmp_path / "conf.json"
+    as_json.write_text(json.dumps(entries))
+    as_lines = tmp_path / "conf.txt"
+    as_lines.write_text("".join(f"{key} = {json.dumps(value)}\n" for key, value in entries.items()))
+    return [as_json, as_lines]
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({"pop": "8"}, "pop must be int, got '8'"),
+        ({"runs": 2.5}, "runs must be int, got 2.5"),
+        ({"runs": True}, "runs must be int, got True"),
+        ({"pop": None}, "pop must be int, got None"),
+        ({"lr": "0.1"}, "lr must be int or float, got '0.1'"),
+        ({"model": 1}, "model must be str, got 1"),
+        ({"popsize": 8}, "unknown key 'popsize'"),
+    ],
+)
+def test_config_file_key_and_type_checked(tmp_path, capsys, entries, message):
+    for path in _config_files(tmp_path, entries):
+        with pytest.raises(cli.ConfigError, match=re.escape(message)):
+            _resolve_config(path)
+        assert run_cli("optimize", "--config", path) == 1
+        assert message in capsys.readouterr().err
+
+
+def test_config_file_accepts_int_lr_and_null_limits(tmp_path):
+    entries = {"lr": 1, "train-limit": None, "generations": None, "mnist_dir": None, "preset": None}
+    for path in _config_files(tmp_path, entries):
+        options = _resolve_config(path)
+        assert options["lr"] == 1 and options["train_limit"] is None
+        assert options["generations"] == 300 and options["mnist_dir"] is None
 
 
 def test_unreadable_config_file_is_config_error(tmp_path):

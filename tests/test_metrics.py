@@ -1,12 +1,16 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flcop import metrics
 from flcop.metrics import ParetoPoint, hypervolume, merge_pseudo_optimal
 from flcop.objectives import Bounds, Genome
+from conftest import filter_sweep_hypervolume
 
 
 def _point(f1, f2, run_id=1, gen=0, seed=0):
@@ -63,6 +67,8 @@ def test_hypervolume_rejects_nan():
 def test_pareto_filter_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
         metrics.pareto_filter([(0.5, math.nan), (0.5, 0.5)])
+    with pytest.raises(ValueError, match="NaN"):
+        metrics.dominated_by(np.zeros((3, 2)), np.array([[0.5, math.nan]]))
 
 
 def test_hypervolume_against_monte_carlo():
@@ -75,6 +81,53 @@ def test_hypervolume_against_monte_carlo():
         for f1, f2 in pts:
             dominated |= (samples[:, 0] >= f1) & (samples[:, 1] <= f2)
         assert abs(hv - dominated.mean()) < 0.003
+
+
+# palettes on both sides of the default box's edges, with signed zeros,
+# infinities and NaN, so that ties, repeats and boundary points are common
+_HV_F1 = [-math.inf, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5, math.inf, math.nan]
+_HV_F2 = [-0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0, math.inf, math.nan]
+_HV_REFERENCES = [(1.0, 0.0), (1.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (2.0, -1.0), (math.inf, -math.inf)]
+
+
+@st.composite
+def _hv_sets(draw):
+    """(points, reference): up to 80 points over small palettes of each
+    coordinate, half drawn from the values above and half from finite values
+    inside the default box's edges."""
+    f1s = draw(st.lists(st.one_of(st.sampled_from(_HV_F1), st.floats(-2, 1)), min_size=1, max_size=6))
+    f2s = draw(st.lists(st.one_of(st.sampled_from(_HV_F2), st.floats(0, 2)), min_size=1, max_size=6))
+    points = draw(st.lists(st.tuples(st.sampled_from(f1s), st.sampled_from(f2s)), max_size=80))
+    return points, draw(st.sampled_from(_HV_REFERENCES))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_hv_sets())
+# a long staircase, whose terms a pairwise sum would round differently
+@example(case=([(i / 37, math.sqrt((i + 1) / 38)) for i in range(37)], (1.0, 0.0)))
+# only a -0.0 term: the loop's area starts at +0.0, and 0.0 + -0.0 is +0.0
+@example(case=([(0.0, 0.5)], (-0.0, 0.0)))
+def test_hypervolume_matches_filter_sweep_oracle(case):
+    points, reference = case
+    try:
+        expected = filter_sweep_hypervolume(points, reference)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            hypervolume(points, reference)
+        assert str(raised.value) == str(exc)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hypervolume(points, reference)
+    assert got.hex() == expected.hex()
+
+
+def test_hypervolume_calls_no_filter(monkeypatch):
+    def no_filter(*args, **kwargs):
+        raise AssertionError("hypervolume filtered its points")
+
+    monkeypatch.setattr(metrics, "pareto_filter", no_filter)
+    assert hypervolume([(0.2, 0.9), (0.5, 0.5), (0.2, 0.9)], (1.0, 0.0)) == 0.8 * 0.9
 
 
 def test_merge_single_run_filters_dominated():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from flcop import metrics, nsga2
 from flcop.metrics import pareto_filter
-from conftest import dominates, pair_loop_sort
+from conftest import bounds_loop_mutation, dominates, pair_loop_sort, refilter_archive
 
 MIN_MAX = (1, -1)
 
@@ -100,6 +100,60 @@ def test_pareto_filter_matches_pairwise_oracle(case):
         if not any(dominates(q, p, directions) for q in objectives)
     ]
     assert pareto_filter(objectives, directions) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_populations(), data=st.data())
+def test_dominated_by_block_equals_rows_of_full_matrix(case, data):
+    objectives, directions = case
+    arr = np.asarray(objectives, np.float64).reshape(len(objectives), len(directions)) * np.asarray(directions)
+    rows = data.draw(st.lists(st.integers(0, max(0, len(arr) - 1)), max_size=len(arr)))
+    full = metrics.dominated_by(arr)
+    assert np.array_equal(metrics.dominated_by(arr, arr[rows]), full[rows])
+
+
+@st.composite
+def _archive_batches(draw):
+    """(directions, batches): 1-5 batches of 0-120 (objectives, genome)
+    points over a small tie-heavy palette with signed zeros and infinities,
+    whose genomes and whole (objectives, genome) keys repeat."""
+    d = draw(st.integers(1, 3))
+    directions = draw(st.tuples(*[st.sampled_from([1, -1])] * d))
+    values = st.one_of(_TIE_HEAVY, st.floats(allow_nan=False, allow_infinity=False))
+    palette = draw(st.lists(values, min_size=1, max_size=8))
+    point = st.tuples(st.tuples(*[st.sampled_from(palette)] * d), st.tuples(st.integers(0, 2)))
+    batches = draw(st.lists(st.lists(point, max_size=120), min_size=1, max_size=5))
+    return directions, batches
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_archive_batches())
+def test_archive_matches_refilter_oracle(case):
+    directions, batches = case
+    archive = nsga2.Archive(directions)
+    expected = []
+    for generation, batch in enumerate(batches):
+        archive.update(batch, generation)
+        expected = refilter_archive(expected, batch, generation, directions)
+        # repr tells -0.0 from 0.0, so the same copy of a key must win
+        assert repr(archive.entries) == repr(expected)
+        assert repr(archive.objectives.tolist()) == repr([list(e[0]) for e in expected])
+
+
+def test_archive_never_compares_two_members(monkeypatch):
+    archive = nsga2.Archive(MIN_MAX)
+    archive.update([((i / 100, i / 100), (i,)) for i in range(100)], 0)
+    shapes = []
+
+    def spy(points, block=None):
+        shapes.append((len(points), len(points if block is None else block)))
+        return metrics.dominated_by(points, block)
+
+    monkeypatch.setattr(nsga2, "dominated_by", spy)
+    archive.update([((0.505, 0.2), (100,)), ((0.3, 0.995), (101,))], 1)
+    assert shapes and all(min(shape) <= 2 for shape in shapes)
+    # (0.505, 0.2) is dominated; (0.3, 0.995) dominates every member from f1 = 0.3 on
+    assert [e[1] for e in archive.entries] == [(i,) for i in range(30)] + [(101,)]
 
 
 def test_sort_rejects_nan():
@@ -209,6 +263,18 @@ def test_mutation_rate():
         mutated = nsga2.uniform_mutation(vec, bounds, rng, 1 / 8)
         flips += sum(m != v for m, v in zip(mutated, vec))
     assert abs(flips / (trials * 8) - 1 / 8) < 0.01
+
+
+def test_mutation_same_stream_for_tuple_and_array_bounds():
+    bounds = ((0, 9), (5, 5), (1, 32), (-3, 1000))
+    vec = (3, 5, 17, 2000)
+    as_tuple, as_array, reference = (np.random.default_rng(8) for _ in range(3))
+    for prob in (0.0, 0.25, 1.0):
+        for _ in range(40):
+            expected = bounds_loop_mutation(vec, bounds, reference, prob)
+            assert nsga2.uniform_mutation(vec, bounds, as_tuple, prob) == expected
+            assert nsga2.uniform_mutation(vec, np.asarray(bounds), as_array, prob) == expected
+    assert as_tuple.bit_generator.state == as_array.bit_generator.state == reference.bit_generator.state
 
 
 def _pop(objs, genome_start=0):

@@ -1,0 +1,94 @@
+"""Interleaved parent/change runs of the benchmark, medians to BENCH_<n>.json.
+
+    python3 tools/bench_pairs.py --number <n> [--parent REV]
+
+Run from the root of a source checkout. The parent is the committed tree of
+--parent (HEAD~1 by default, for a committed change; HEAD while the change is
+still uncommitted), exported with `git archive` into a temporary directory.
+The change is the working tree. For each workload of BENCHMARK.json, pair k
+runs the benchmark command with seed FIRST_SEED + k in both trees, the parent
+first in even pairs and the change first in odd ones, each in its own tree
+with its own `perfbench/`. Every run must report "correct": true.
+
+The output maps workload to metric to {"parent", "change", "unit"}, each a
+median over the pairs of the end-to-end metrics. Every run's line is also
+printed to standard error as it finishes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+PAIRS = 10
+FIRST_SEED = 901
+
+
+def export_tree(ref: str, dest: Path) -> None:
+    """Write the committed files of ref into dest."""
+    archive = subprocess.run(["git", "archive", "--format=tar", ref], check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        # the "data" filter exists from 3.12 and in 3.10.12 / 3.11.4 onward
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        tar.extractall(dest, **safe)
+
+
+def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
+    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode or not lines:
+        raise RuntimeError(f"{' '.join(argv)} in {tree} exited {done.returncode}: {done.stderr.strip()}")
+    result = json.loads(lines[-1])
+    if not result["correct"]:
+        raise RuntimeError(f"{workload} seed {seed} in {tree} is not correct: {done.stderr.strip()}")
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--number", type=int, required=True, help="n in the output name BENCH_<n>.json")
+    parser.add_argument("--parent", default="HEAD~1", help="git revision to compare against")
+    args = parser.parse_args(argv)
+
+    change = Path.cwd()
+    declared = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in declared["workloads"]]
+    units = {m["name"]: m["unit"] for m in declared["end_to_end"]}
+
+    out = {}
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent = Path(tmp)
+        export_tree(args.parent, parent)
+        for workload in workloads:
+            values = {"parent": [], "change": []}
+            for k in range(PAIRS):
+                sides = [("parent", parent), ("change", change)]
+                for side, tree in sides if k % 2 == 0 else sides[::-1]:
+                    result = run_once(tree, declared["command"], workload, FIRST_SEED + k, declared["run_seconds"])
+                    values[side].append({name: m["value"] for name, m in result["metrics"].items()})
+                    print(json.dumps({"workload": workload, "pair": k, "side": side, **result}), file=sys.stderr)
+            out[workload] = {
+                name: {
+                    "parent": statistics.median(run[name] for run in values["parent"]),
+                    "change": statistics.median(run[name] for run in values["change"]),
+                    "unit": unit,
+                }
+                for name, unit in units.items()
+            }
+
+    path = change / f"BENCH_{args.number}.json"
+    path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
