@@ -426,34 +426,31 @@ def _parse_genome_arg(text: str) -> Genome:
 def cmd_eval(args: argparse.Namespace) -> int:
     options = resolve_options(args)
     genome = _parse_genome_arg(args.genome)
-    bounds_name = options["bounds"]
 
     if args.layer_sizes:
         try:
             sizes = [int(s) for s in args.layer_sizes.split(",") if s.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --layer-sizes: {exc}") from exc
-        bounds = BOUNDS_PRESETS[bounds_name](options["n_clients"], len(sizes))
-        try:
-            genome.validate(bounds)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if any(n < 1 for n in sizes):
+            raise ConfigError(f"bad --layer-sizes: every size must be at least 1, got {args.layer_sizes}")
+    else:
+        sizes = MODEL_SPECS[options["model"]]().param_shapes
+    try:
+        genome.validate(BOUNDS_PRESETS[options["bounds"]](options["n_clients"], len(sizes)))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+    if args.layer_sizes:
         alpha, beta, f1 = comm_fraction(genome, sizes, options["n_clients"])
         payload = {
             "genome": list(genome.to_vector()),
             "objectives": {"f1": f1, "f2": None, "alpha": alpha, "beta": beta},
             "ledger": None,
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return EXIT_OK
-
-    env = _build_env(options, options["seed"])
-    bounds = env.bounds(bounds_name)
-    try:
-        genome.validate(bounds)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    print(json.dumps(_simulate_payload(genome, env, args), indent=2, sort_keys=True))
+    else:
+        payload = _simulate_payload(genome, _build_env(options, options["seed"]), args)
+    print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
 

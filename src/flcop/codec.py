@@ -9,6 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_DROP_PERCENT = 50  # sparsification drops at most this percent of a layer
+MAX_BITS = 32  # quantisation codes are 1 to MAX_BITS bits wide
+
 
 class PayloadCorruptionError(ValueError):
     """Decoded payload is internally inconsistent with its layer."""
@@ -22,10 +25,10 @@ class LayerCompressionSpec:
     drop_percent: int
 
     def __post_init__(self):
-        if not 1 <= self.bits <= 32:
-            raise ValueError(f"bits must lie in [1, 32], got {self.bits}")
-        if not 0 <= self.drop_percent <= 50:
-            raise ValueError(f"drop_percent must lie in [0, 50], got {self.drop_percent}")
+        if not 1 <= self.bits <= MAX_BITS:
+            raise ValueError(f"bits must lie in [1, {MAX_BITS}], got {self.bits}")
+        if not 0 <= self.drop_percent <= MAX_DROP_PERCENT:
+            raise ValueError(f"drop_percent must lie in [0, {MAX_DROP_PERCENT}], got {self.drop_percent}")
 
 
 @dataclass
@@ -62,8 +65,8 @@ def sparsify(layer: np.ndarray, drop_percent: int) -> np.ndarray:
     layer = np.asarray(layer)
     if layer.size == 0:
         raise ValueError("cannot sparsify an empty layer")
-    if not 0 <= drop_percent <= 50:
-        raise ValueError(f"drop_percent must lie in [0, 50], got {drop_percent}")
+    if not 0 <= drop_percent <= MAX_DROP_PERCENT:
+        raise ValueError(f"drop_percent must lie in [0, {MAX_DROP_PERCENT}], got {drop_percent}")
     n = layer.size
     k = kept_count(n, drop_percent)
     if k == n:
@@ -106,8 +109,8 @@ def quantize(layer: np.ndarray, kept: np.ndarray, bits: int) -> LayerPayload:
     extremum overflows float32.
     """
     layer = np.asarray(layer)
-    if not 1 <= bits <= 32:
-        raise ValueError(f"bits must lie in [1, 32], got {bits}")
+    if not 1 <= bits <= MAX_BITS:
+        raise ValueError(f"bits must lie in [1, {MAX_BITS}], got {bits}")
     kept = np.asarray(kept, np.int64)
     if kept.size == 0:
         raise ValueError("kept index set must be non-empty")

@@ -6,6 +6,9 @@ a batch evaluator. Objective values must not be NaN: the sort, the archive
 and the hypervolume raise ValueError on one; ±inf is ordered as usual.
 Operators draw from a single sequential random stream, so a fixed seed
 reproduces a run exactly regardless of how the evaluator parallelizes.
+
+Each generation runs one non-dominated sort: `replacement` sorts parents plus
+offspring, and sets the rank and crowding of each survivor as it keeps it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ Fronts = tuple[tuple[int, ...], ...]
 
 MINIMIZE = 1
 MAXIMIZE = -1
+CROSSOVER_PROB = 0.9  # the paper's value; mutation is 1 / dimension, set in run
 
 
 @dataclass
@@ -39,8 +43,6 @@ class SearchParams:
     population_size: int
     generations: int
     bounds: tuple[tuple[int, int], ...]
-    crossover_prob: float = 0.9
-    mutation_prob: float | None = None  # defaults to 1 / dimension
     seed: int = 0
 
     def __post_init__(self):
@@ -48,16 +50,10 @@ class SearchParams:
             raise ValueError("population_size must be even and at least 4")
         if self.generations < 0:
             raise ValueError("generations must be non-negative")
-        if not 0.0 <= self.crossover_prob <= 1.0:
-            raise ValueError("crossover_prob must lie in [0, 1]")
 
     @property
     def dimension(self) -> int:
         return len(self.bounds)
-
-    @property
-    def effective_mutation_prob(self) -> float:
-        return 1.0 / self.dimension if self.mutation_prob is None else self.mutation_prob
 
 
 def non_dominated_sort(objectives: Sequence[tuple[float, ...]], directions: Sequence[int]) -> Fronts:
@@ -80,7 +76,10 @@ def non_dominated_sort(objectives: Sequence[tuple[float, ...]], directions: Sequ
 
 def crowding_distance(front_objectives: list[tuple[float, ...]]) -> list[float]:
     """Per-member crowding: normalized gap to the neighbours in each objective,
-    infinity at the boundaries; objectives with zero range contribute nothing."""
+    infinity at the boundaries; objectives with zero range contribute nothing.
+    An objective whose range is not finite (an infinite extreme, or a span
+    that overflows) marks its two boundary members infinite and adds nothing
+    else, so no member's crowding is NaN."""
     n = len(front_objectives)
     if n == 0:
         return []
@@ -89,11 +88,14 @@ def crowding_distance(front_objectives: list[tuple[float, ...]]) -> list[float]:
     for k in range(n_obj):
         values = [o[k] for o in front_objectives]
         order = sorted(range(n), key=lambda i: values[i])
-        span = values[order[-1]] - values[order[0]]
-        if span == 0:
+        lo, hi = values[order[0]], values[order[-1]]
+        if lo == hi:
             continue
         distances[order[0]] = math.inf
         distances[order[-1]] = math.inf
+        span = hi - lo
+        if not math.isfinite(span):
+            continue
         for pos in range(1, n - 1):
             i = order[pos]
             if distances[i] != math.inf:
@@ -149,31 +151,32 @@ def uniform_mutation(
     return tuple(np.where(mask, draws, vec).tolist())
 
 
-def assign_ranks_and_crowding(population: list[Individual], directions: Sequence[int]) -> Fronts:
-    objs = [ind.objectives for ind in population]
-    fronts = non_dominated_sort(objs, directions)
-    for rank, front in enumerate(fronts, start=1):
-        dists = crowding_distance([objs[i] for i in front])
-        for i, dist in zip(front, dists):
-            population[i].rank = rank
-            population[i].crowding = dist
-    return fronts
-
-
 def replacement(parents: list[Individual], offspring: list[Individual], directions: Sequence[int]) -> list[Individual]:
     """Elitist survivor selection over parents + offspring: whole fronts by
-    ascending rank, the overflowing front truncated by descending crowding."""
+    ascending rank, the overflowing front truncated by descending crowding.
+
+    Sets each survivor's rank and crowding: a whole front keeps the crowding
+    of the union's sort, and the kept part of the truncated front is crowded
+    again among itself, in descending-crowding order. That equals sorting the
+    survivors anew, as every dropped point lies behind a whole kept front.
+    With no offspring, the parents are ranked in place and keep their order.
+    """
     union = parents + offspring
-    target = len(parents)
+    room = len(parents)
     objs = [ind.objectives for ind in union]
     survivors: list[Individual] = []
-    for front in non_dominated_sort(objs, directions):
+    for rank, front in enumerate(non_dominated_sort(objs, directions), start=1):
         dists = crowding_distance([objs[i] for i in front])
-        if len(survivors) + len(front) <= target:
-            survivors.extend(union[i] for i in front)
-        else:
+        if len(front) > room:
             order = sorted(range(len(front)), key=lambda p: -dists[p])
-            survivors.extend(union[front[p]] for p in order[: target - len(survivors)])
+            front = [front[p] for p in order[:room]]
+            dists = crowding_distance([objs[i] for i in front])
+        for i, dist in zip(front, dists):
+            union[i].rank = rank
+            union[i].crowding = dist
+            survivors.append(union[i])
+        room -= len(front)
+        if room == 0:
             break
     return survivors
 
@@ -258,6 +261,7 @@ def run(
     """
     rng = np.random.default_rng(params.seed)
     bounds = np.asarray(params.bounds)
+    mutation_prob = 1 / params.dimension
 
     population = [
         Individual(tuple(rng.integers(bounds[:, 0], bounds[:, 1] + 1).tolist()))
@@ -275,8 +279,7 @@ def run(
         evaluations += len(individuals)
 
     def record(generation: int) -> None:
-        first = min(ind.rank for ind in population)
-        front = [(ind.objectives, ind.genome) for ind in population if ind.rank == first]
+        front = [(ind.objectives, ind.genome) for ind in population if ind.rank == 1]
         hv_front = hv_archive = 0.0
         if hv_reference is not None:
             hv_front = _hv_in_box(np.asarray([f[0] for f in front], np.float64), directions, hv_reference)
@@ -285,23 +288,20 @@ def run(
 
     eval_all(population, 0)
     archive.update([(ind.objectives, ind.genome) for ind in population], 0)
-    assign_ranks_and_crowding(population, directions)
+    replacement(population, [], directions)  # ranks in place; the list order feeds the tournament
     record(0)
 
     for generation in range(1, params.generations + 1):
         pairs = binary_tournament(population, params.population_size // 2, rng)
         offspring: list[Individual] = []
         for i, j in pairs:
-            child_a, child_b = single_point_crossover(
-                population[i].genome, population[j].genome, rng, params.crossover_prob
-            )
+            child_a, child_b = single_point_crossover(population[i].genome, population[j].genome, rng, CROSSOVER_PROB)
             for child in (child_a, child_b):
-                mutated = uniform_mutation(child, bounds, rng, params.effective_mutation_prob)
+                mutated = uniform_mutation(child, bounds, rng, mutation_prob)
                 offspring.append(Individual(mutated))
         eval_all(offspring, generation)
         archive.update([(ind.objectives, ind.genome) for ind in offspring], generation)
         population = replacement(population, offspring, directions)
-        assign_ranks_and_crowding(population, directions)
         record(generation)
 
     return SearchResult(population, history, archive.entries, evaluations)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codec import LayerCompressionSpec
+from .codec import MAX_BITS, MAX_DROP_PERCENT, LayerCompressionSpec
 from .data import ClientPartition, LabeledDataset
 from .federation import FLRunConfig, run_federated_training
 from .nn import ModelSpec, NumericError, TrainConfig
@@ -23,8 +23,6 @@ class Bounds:
     n_clients: int
     n_layers: int
     interval_max: int = 1000
-    drop_max: int = 50
-    bits_max: int = 32
 
     @property
     def dimension(self) -> int:
@@ -33,8 +31,8 @@ class Bounds:
     def coordinate_ranges(self) -> list[tuple[int, int]]:
         return (
             [(1, self.n_clients), (1, self.interval_max)]
-            + [(0, self.drop_max)] * self.n_layers
-            + [(1, self.bits_max)] * self.n_layers
+            + [(0, MAX_DROP_PERCENT)] * self.n_layers
+            + [(1, MAX_BITS)] * self.n_layers
         )
 
     def coordinate_names(self) -> list[str]:
@@ -142,9 +140,6 @@ class EvalEnv:
     @property
     def n_clients(self) -> int:
         return self.partition.n_clients
-
-    def bounds(self, preset: str = "default") -> Bounds:
-        return BOUNDS_PRESETS[preset](self.n_clients, self.spec.n_arrays)
 
 
 def build_run_config(genome: Genome, env: EvalEnv) -> FLRunConfig:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flcop import codec, data, metrics
+from flcop import codec, data, metrics, nsga2
 from flcop.nn import TrainConfig
 from flcop.objectives import Bounds, EvalEnv, Genome
 from flcop import nn
@@ -143,6 +143,31 @@ def bounds_loop_mutation(vec, bounds, rng, mutation_prob):
     mask = rng.random(len(vec)) < mutation_prob
     draws = rng.integers(lows, highs + 1)
     return tuple(int(d) if m else int(v) for v, d, m in zip(vec, draws, mask))
+
+
+def resort_replacement(parents, offspring, directions):
+    """Reference survivor selection that ranks twice: whole fronts of the
+    sorted union, the overflowing front truncated by descending crowding,
+    then the survivors sorted and crowded again from scratch."""
+    union = parents + offspring
+    target = len(parents)
+    objs = [ind.objectives for ind in union]
+    survivors = []
+    for front in nsga2.non_dominated_sort(objs, directions):
+        dists = nsga2.crowding_distance([objs[i] for i in front])
+        if len(survivors) + len(front) <= target:
+            survivors.extend(union[i] for i in front)
+        else:
+            order = sorted(range(len(front)), key=lambda p: -dists[p])
+            survivors.extend(union[front[p]] for p in order[: target - len(survivors)])
+            break
+    objs = [ind.objectives for ind in survivors]
+    for rank, front in enumerate(nsga2.non_dominated_sort(objs, directions), start=1):
+        dists = nsga2.crowding_distance([objs[i] for i in front])
+        for i, dist in zip(front, dists):
+            survivors[i].rank = rank
+            survivors[i].crowding = dist
+    return survivors
 
 
 def random_genome(bounds: Bounds, rng: np.random.Generator) -> Genome:

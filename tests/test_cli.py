@@ -74,11 +74,26 @@ def test_eval_synthetic_layer_sizes(capsys):
 
 
 def test_eval_rejects_invalid_genomes(fixture_mnist_dir, tmp_path, capsys):
-    assert run_cli("eval", "[4,1,0,0,0,0,0,0,0,0]", "--mnist-dir", fixture_mnist_dir) == 1
-    assert run_cli("eval", "not json", "--mnist-dir", fixture_mnist_dir) == 1
-    assert run_cli("eval", "[1,2,3]", "--mnist-dir", fixture_mnist_dir) == 1
-    assert run_cli("eval", f"@{tmp_path / 'missing.json'}", "--mnist-dir", fixture_mnist_dir) == 1
-    assert "outside" in capsys.readouterr().err or True
+    for genome, message in (
+        ("[4,1,0,0,0,0,0,0,0,0]", "b_1=0 outside [1, 32]"),
+        ("not json", "not valid JSON"),
+        ("[1,2,3]", "genome length must be even"),
+        (f"@{tmp_path / 'missing.json'}", "cannot read genome file"),
+    ):
+        assert run_cli("eval", genome, "--mnist-dir", fixture_mnist_dir) == 1
+        assert message in capsys.readouterr().err
+
+
+def test_eval_checks_the_genome_before_loading_data(tmp_path, capsys):
+    assert run_cli("eval", "[4,1,0,0,0,0,0,0,0,0]", "--mnist-dir", tmp_path / "nope") == 1
+    assert "b_1=0 outside [1, 32]" in capsys.readouterr().err
+    assert run_cli("eval", "[4,1,0,0,0,0,32,32,32,32]", "--mnist-dir", tmp_path / "nope") == 2
+
+
+def test_eval_rejects_layer_sizes_below_one(capsys):
+    for sizes in ("0,0", "-5,10"):
+        assert run_cli("eval", "[4,1,0,0,32,32]", f"--layer-sizes={sizes}") == 1
+        assert "every size must be at least 1" in capsys.readouterr().err
 
 
 def test_unknown_model_or_bounds_in_config_file_is_config_error(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from flcop import metrics, nsga2
 from flcop.metrics import pareto_filter
-from conftest import bounds_loop_mutation, dominates, pair_loop_sort, refilter_archive
+from conftest import bounds_loop_mutation, dominates, pair_loop_sort, refilter_archive, resort_replacement
 
 MIN_MAX = (1, -1)
 
@@ -181,6 +181,32 @@ def test_crowding_examples():
     assert abs(flat[1] - 1.0) < 1e-12  # degenerate objective skipped
 
 
+def test_crowding_with_infinite_range_marks_boundaries_only():
+    inf = math.inf
+    # a non-finite span sets the boundaries to infinity and adds nothing else
+    assert nsga2.crowding_distance([(0, -inf), (1, 0), (2, inf)]) == [inf, 1.0, inf]
+    assert nsga2.crowding_distance([(0, 1), (1, inf), (2, inf), (3, inf)]) == [inf, 2 / 3, 2 / 3, inf]
+    assert nsga2.crowding_distance([(-1e308, 0), (0, 1), (1e308, 2)]) == [inf, 1.0, inf]  # span overflows
+    # equal extremes are a zero range, infinite or not
+    assert nsga2.crowding_distance([(inf, 0), (inf, 1), (inf, 2)]) == [inf, 1.0, inf]
+
+
+TIE_HEAVY = st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, math.inf]) | st.floats(allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(TIE_HEAVY, TIE_HEAVY), min_size=1, max_size=12))
+def test_crowding_is_never_nan(front):
+    dists = nsga2.crowding_distance(front)
+    assert not any(math.isnan(d) for d in dists)
+    for k in range(2):
+        values = [p[k] for p in front]
+        if min(values) != max(values):
+            first_low = values.index(min(values))
+            last_high = len(values) - 1 - values[::-1].index(max(values))
+            assert dists[first_low] == dists[last_high] == math.inf
+
+
 def test_tournament_rules():
     rng = np.random.default_rng(1)
     a = nsga2.Individual((0,), (0.0, 0.0), rank=1, crowding=0.0)
@@ -319,17 +345,91 @@ def test_replacement_preserves_size_and_elitism():
             assert rank[id(ind)] >= worst_kept
 
 
+def _individual_state(ind):
+    return (ind.genome, ind.rank, float.hex(ind.crowding))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_obj=st.sampled_from([2, 3]),
+    data=st.data(),
+    no_offspring=st.booleans(),
+)
+def test_replacement_matches_resorting_the_survivors(n_obj, data, no_offspring):
+    objs = data.draw(st.lists(st.tuples(*[TIE_HEAVY] * n_obj), min_size=4, max_size=60))
+    directions = data.draw(st.sampled_from(list(itertools.product((1, -1), repeat=n_obj))))
+    n_parents = len(objs) if no_offspring else data.draw(st.integers(1, len(objs) - 1))
+    got_union, want_union = _pop(objs), _pop(objs)
+    got = nsga2.replacement(got_union[:n_parents], got_union[n_parents:], directions)
+    want = resort_replacement(want_union[:n_parents], want_union[n_parents:], directions)
+    assert [_individual_state(ind) for ind in got] == [_individual_state(ind) for ind in want]
+    if no_offspring:
+        # the caller's list is ranked in place and keeps its order
+        assert [_individual_state(ind) for ind in got_union] == [_individual_state(ind) for ind in want_union]
+
+
+def _tie_heavy_problem(genomes, generation):
+    return [(float(g[0] // 3), float((g[1] - g[0]) // 4), float(g[2] % 5)) for g in genomes]
+
+
+def _analytic_problem(genomes, generation):
+    return [(g[0] / 40, (1 + g[0]) / 2 ** (g[1] + g[2])) for g in genomes]
+
+
+def _search_state(result):
+    return (
+        [(ind.genome, ind.objectives, ind.rank, float.hex(ind.crowding)) for ind in result.population],
+        [repr(r) for r in result.history],
+        repr(result.archive),
+        result.evaluations,
+    )
+
+
+TIE_HEAVY_BOUNDS = ((0, 20), (0, 20), (0, 9))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "problem, bounds, directions, hv_reference",
+    [
+        (_tie_heavy_problem, TIE_HEAVY_BOUNDS, (1, 1, -1), None),
+        (_tie_heavy_problem, TIE_HEAVY_BOUNDS, (-1, 1, 1), None),
+        (_analytic_problem, ((0, 40), (0, 7), (0, 7)), (1, -1), (1.0, 0.0)),
+    ],
+)
+def test_run_matches_resorting_replacement(monkeypatch, seed, problem, bounds, directions, hv_reference):
+    params = nsga2.SearchParams(12, 15, bounds, seed=seed)
+    got = nsga2.run(problem, params, directions, hv_reference)
+    monkeypatch.setattr(nsga2, "replacement", resort_replacement)
+    assert _search_state(got) == _search_state(nsga2.run(problem, params, directions, hv_reference))
+
+
+def test_run_sorts_once_per_generation(monkeypatch):
+    calls = []
+    original = nsga2.non_dominated_sort
+
+    def spy(objectives, directions):
+        calls.append(len(objectives))
+        return original(objectives, directions)
+
+    monkeypatch.setattr(nsga2, "non_dominated_sort", spy)
+    nsga2.run(_tie_heavy_problem, nsga2.SearchParams(10, 7, TIE_HEAVY_BOUNDS, seed=1), directions=(1, 1, 1))
+    assert calls == [10] + [20] * 7
+
+
 def test_run_zero_generations_returns_initial_population():
     params = nsga2.SearchParams(6, 0, ((0, 5), (0, 5)), seed=0)
     calls = []
 
     def evaluate(genomes, generation):
-        calls.append(generation)
+        calls.append((generation, list(genomes)))
         return [(float(g[0]), float(g[1])) for g in genomes]
 
     result = nsga2.run(evaluate, params, directions=(1, 1))
-    assert calls == [0]
-    assert len(result.population) == 6
+    assert [generation for generation, _ in calls] == [0]
+    # ranking keeps the drawn order, which the first tournament reads
+    assert [ind.genome for ind in result.population] == calls[0][1]
+    assert len({ind.rank for ind in result.population}) > 1
     assert all(ind.objectives is not None and ind.rank is not None for ind in result.population)
     assert result.evaluations == 6
 
@@ -376,11 +476,24 @@ def test_run_converges_on_discretized_analytic_problem():
     assert final == oracle
 
 
-def test_search_params_validation():
+def test_search_params_validation(monkeypatch):
     with pytest.raises(ValueError):
         nsga2.SearchParams(7, 5, ((0, 1),))
     with pytest.raises(ValueError):
         nsga2.SearchParams(2, 5, ((0, 1),))
-    with pytest.raises(ValueError):
-        nsga2.SearchParams(10, 5, ((0, 1),), crossover_prob=1.5)
-    assert nsga2.SearchParams(10, 5, ((0, 1), (0, 1))).effective_mutation_prob == 0.5
+    # crossover 0.9 and mutation 1 / dimension are fixed, not parameters
+    seen = {"crossover": set(), "mutation": set()}
+    crossover, mutation = nsga2.single_point_crossover, nsga2.uniform_mutation
+
+    def crossover_spy(a, b, rng, prob):
+        seen["crossover"].add(prob)
+        return crossover(a, b, rng, prob)
+
+    def mutation_spy(vec, bounds, rng, prob):
+        seen["mutation"].add(prob)
+        return mutation(vec, bounds, rng, prob)
+
+    monkeypatch.setattr(nsga2, "single_point_crossover", crossover_spy)
+    monkeypatch.setattr(nsga2, "uniform_mutation", mutation_spy)
+    nsga2.run(lambda genomes, gen: [(float(sum(g)), 0.0) for g in genomes], nsga2.SearchParams(10, 3, ((0, 1),) * 5))
+    assert seen == {"crossover": {0.9}, "mutation": {1 / 5}}

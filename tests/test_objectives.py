@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flcop import federation, nn, objectives
-from flcop.codec import payload_bits
+from flcop.codec import MAX_BITS, MAX_DROP_PERCENT, payload_bits
 from flcop.data import partition
 from flcop.federation import run_federated_training
 from flcop.objectives import Bounds, EvalEnv, Genome, comm_fraction
@@ -112,6 +112,7 @@ def test_genome_vector_round_trip_and_bounds_presets():
     assert objectives.mutation_narrow_bounds(4, 3).interval_max == 100
     assert objectives.BOUNDS_PRESETS["default"](4, 3).interval_max == 1000
     assert Bounds(4, 3).dimension == 8
+    assert Bounds(4, 1).coordinate_ranges() == [(1, 4), (1, 1000), (0, MAX_DROP_PERCENT), (1, MAX_BITS)]
     with pytest.raises(ValueError):
         Genome.from_vector([1, 2, 3])
 
