@@ -98,8 +98,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--init-seed", type=int, help="seed for the shared initial model weights")
-    p.add_argument("--workers", type=int, help="parallel fitness evaluations")
-    p.add_argument("--out", help="output directory")
     p.add_argument("--config", help="JSON or key=value config file; flags override it")
 
 
@@ -114,9 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--runs", type=int)
     p_opt.add_argument("--bounds", choices=tuple(BOUNDS_PRESETS))
     p_opt.add_argument("--preset", choices=tuple(PRESETS))
+    p_opt.add_argument("--workers", type=int, help="parallel fitness evaluations")
+    p_opt.add_argument("--out", help="output directory")
 
     p_base = sub.add_parser("baseline", help="evaluate the no-reduction configuration")
     _add_common(p_base)
+    p_base.add_argument("--out", help="output directory")
     p_base.add_argument("--trace", help="write per-round JSON lines to this file")
     p_base.add_argument("--trace-accuracy", action="store_true")
 
@@ -194,8 +195,8 @@ def resolve_options(args: argparse.Namespace) -> dict:
         raise ConfigError("--n-clients must be at least 1")
     if options["pop"] < 4 or options["pop"] % 2:
         raise ConfigError("--pop must be even and at least 4")
-    for key in ("generations", "runs", "batch_size", "epochs", "workers"):
-        if options[key] < 1:
+    for key in ("generations", "runs", "batch_size", "epochs", "workers", "train_limit", "test_limit"):
+        if options[key] is not None and options[key] < 1:
             raise ConfigError(f"--{key.replace('_', '-')} must be at least 1")
     if options["lr"] <= 0:
         raise ConfigError("--lr must be positive")
@@ -225,6 +226,8 @@ def _load_datasets(options: dict):
         raise DataError(str(exc)) from exc
     train = data.subsample(train, options["train_limit"], options["seed"])
     test = data.subsample(test, options["test_limit"], options["seed"])
+    if options["n_clients"] > train.count:
+        raise ConfigError(f"--n-clients {options['n_clients']} exceeds the {train.count} training examples")
     return train, test
 
 

@@ -1,8 +1,12 @@
 """Minimal trainable neural networks (fully-connected and convolutional).
 
+Each weighted layer states its weight shape, (n_in, n_out) for Dense and
+(k, k, c_in, c_out) for Conv2D, with one bias per entry of the last axis; the
+flat parameter layout, the initialisation and the weight views derive from it.
 Parameters live as an ordered list of flat arrays, weights and biases as
 separate entries, so downstream per-layer compression can treat every
 trainable array uniformly. Training is plain SGD on softmax cross-entropy.
+Backward stops at the first weighted layer: no input gradient is formed.
 """
 
 from __future__ import annotations
@@ -26,6 +30,10 @@ class Dense:
     n_in: int
     n_out: int
 
+    @property
+    def weight_shape(self) -> tuple[int, ...]:
+        return (self.n_in, self.n_out)
+
 
 @dataclass(frozen=True)
 class Conv2D:
@@ -34,46 +42,37 @@ class Conv2D:
     c_out: int
 
     @property
+    def weight_shape(self) -> tuple[int, ...]:
+        return (self.kernel, self.kernel, self.c_in, self.c_out)
+
+    @property
     def pad(self) -> int:
         return (self.kernel - 1) // 2
 
 
 @dataclass(frozen=True)
 class MaxPool2x2:
-    pass
+    weight_shape = None
 
 
 @dataclass(frozen=True)
 class Flatten:
-    pass
-
-
-FC_PARAM_SHAPES = (32928, 42, 420, 10)
-CONV_PARAM_SHAPES = (800, 32, 25600, 32, 18432, 64, 36864, 64, 802816, 256, 2560, 10)
+    weight_shape = None
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """Network topology plus the derived flat parameter-array layout."""
 
-    arch_kind: str
     input_shape: tuple[int, ...]
     layers: tuple
-
-    def __post_init__(self):
-        if self.arch_kind == "fully_connected" and self.param_shapes != FC_PARAM_SHAPES:
-            raise ValueError("fully_connected layout must be " + str(FC_PARAM_SHAPES))
-        if self.arch_kind == "convolutional" and self.param_shapes != CONV_PARAM_SHAPES:
-            raise ValueError("convolutional layout must be " + str(CONV_PARAM_SHAPES))
 
     @property
     def param_shapes(self) -> tuple[int, ...]:
         shapes = []
         for layer in self.layers:
-            if isinstance(layer, Dense):
-                shapes += [layer.n_in * layer.n_out, layer.n_out]
-            elif isinstance(layer, Conv2D):
-                shapes += [layer.kernel * layer.kernel * layer.c_in * layer.c_out, layer.c_out]
+            if layer.weight_shape:
+                shapes += [math.prod(layer.weight_shape), layer.weight_shape[-1]]
         return tuple(shapes)
 
     @property
@@ -91,13 +90,12 @@ class ModelSpec:
 
 def fully_connected() -> ModelSpec:
     """784 -> 42 -> 10 multilayer perceptron, ReLU hidden, softmax output."""
-    return ModelSpec("fully_connected", (784,), (Dense(784, 42), Dense(42, 10)))
+    return ModelSpec((784,), (Dense(784, 42), Dense(42, 10)))
 
 
 def convolutional() -> ModelSpec:
     """Four same-padded conv layers with two 2x2 pools, then 3136 -> 256 -> 10."""
     return ModelSpec(
-        "convolutional",
         (28, 28, 1),
         (
             Conv2D(5, 1, 32),
@@ -141,38 +139,18 @@ class ModelParams:
 
 
 def build_model(spec: ModelSpec, seed: int, dtype=np.float32) -> ModelParams:
-    """Deterministic initialization: uniform +/- sqrt(6 / (fan_in + fan_out)) weights, zero biases."""
+    """Deterministic initialization: uniform +/- sqrt(6 / (fan_in + fan_out)) weights, zero biases.
+    A conv layer's fans count its whole k x k receptive field."""
     rng = np.random.default_rng(seed)
     arrays: list[np.ndarray] = []
     for layer in spec.layers:
-        if isinstance(layer, Dense):
-            fan_in, fan_out = layer.n_in, layer.n_out
-            w_size, b_size = layer.n_in * layer.n_out, layer.n_out
-        elif isinstance(layer, Conv2D):
-            k2 = layer.kernel * layer.kernel
-            fan_in, fan_out = k2 * layer.c_in, k2 * layer.c_out
-            w_size, b_size = k2 * layer.c_in * layer.c_out, layer.c_out
-        else:
-            continue
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        arrays.append(rng.uniform(-limit, limit, w_size).astype(dtype))
-        arrays.append(np.zeros(b_size, dtype))
+        shape = layer.weight_shape
+        if shape:
+            receptive = math.prod(shape[:-2])
+            limit = math.sqrt(6.0 / (receptive * shape[-2] + receptive * shape[-1]))
+            arrays.append(rng.uniform(-limit, limit, math.prod(shape)).astype(dtype))
+            arrays.append(np.zeros(shape[-1], dtype))
     return ModelParams(spec, arrays)
-
-
-def _weight_views(params: ModelParams):
-    """Yield (layer, weight_view, bias) with weights reshaped for computation."""
-    it = iter(params.arrays)
-    for layer in params.spec.layers:
-        if isinstance(layer, Dense):
-            w = next(it).reshape(layer.n_in, layer.n_out)
-            yield layer, w, next(it)
-        elif isinstance(layer, Conv2D):
-            k = layer.kernel
-            w = next(it).reshape(k, k, layer.c_in, layer.c_out)
-            yield layer, w, next(it)
-        else:
-            yield layer, None, None
 
 
 def _conv_forward(x, w, b, pad):
@@ -186,18 +164,20 @@ def _conv_forward(x, w, b, pad):
     return out + b, xp
 
 
-def _conv_backward(dout, xp, w, pad):
+def _conv_backward(dout, xp, w, pad, input_grad: bool):
+    """(dx, dw, db) of a same-padded conv; dx is None unless input_grad."""
     batch, height, width, _ = dout.shape
     k = w.shape[0]
     dw = np.empty_like(w)
-    dxp = np.zeros_like(xp)
+    dxp = np.zeros_like(xp) if input_grad else None
     for ky in range(k):
         for kx in range(k):
             patch = xp[:, ky : ky + height, kx : kx + width, :]
             dw[ky, kx] = np.tensordot(patch, dout, axes=([0, 1, 2], [0, 1, 2]))
-            dxp[:, ky : ky + height, kx : kx + width, :] += dout @ w[ky, kx].T
+            if input_grad:
+                dxp[:, ky : ky + height, kx : kx + width, :] += dout @ w[ky, kx].T
     db = dout.sum(axis=(0, 1, 2))
-    dx = dxp[:, pad : pad + height, pad : pad + width, :]
+    dx = dxp[:, pad : pad + height, pad : pad + width, :] if input_grad else None
     return dx, dw, db
 
 
@@ -216,42 +196,39 @@ def _pool_backward(dout, mask):
 
 
 def _run_layers(params: ModelParams, images: np.ndarray, keep_caches: bool):
+    """Log-probabilities and, if keep_caches, one (layer, input, weight, mask)
+    entry per layer: a weighted layer's input (padded for a conv) and ReLU mask
+    (None on the output layer), a pool's max mask, Flatten's input."""
     spec = params.spec
     if images.ndim != 2 or images.shape[1] != spec.input_width:
         raise ValueError(f"expected image rows of width {spec.input_width}, got {images.shape}")
-    views = list(_weight_views(params))
-    last_param = max(i for i, (_, w, _) in enumerate(views) if w is not None)
+    arrays = iter(params.arrays)
+    last_weighted = max(i for i, layer in enumerate(spec.layers) if layer.weight_shape)
 
     x = images.reshape(images.shape[0], *spec.input_shape)
     caches = []
-    for i, (layer, w, b) in enumerate(views):
-        if isinstance(layer, Dense):
-            if x.ndim != 2:
-                raise ValueError("Dense layer needs flattened input; add a Flatten layer")
-            pre = x @ w + b
-            cache = ("dense", x, w)
-        elif isinstance(layer, Conv2D):
-            pre, xp = _conv_forward(x, w, b, layer.pad)
-            cache = ("conv", xp, w, layer.pad)
-        elif isinstance(layer, MaxPool2x2):
+    for i, layer in enumerate(spec.layers):
+        x_in, w, mask = x, None, None
+        if isinstance(layer, MaxPool2x2):
+            x_in = None
             x, mask = _pool_forward(x)
-            if keep_caches:
-                caches.append(("pool", mask))
-            continue
-        else:  # Flatten
-            shape = x.shape
-            x = x.reshape(shape[0], -1)
-            if keep_caches:
-                caches.append(("flatten", shape))
-            continue
-        if i == last_param:
-            x = pre
+        elif isinstance(layer, Flatten):
+            x = x.reshape(x.shape[0], -1)
         else:
-            x = np.maximum(pre, 0)
-            if keep_caches:
-                cache = cache + (pre > 0,)
+            w = next(arrays).reshape(layer.weight_shape)
+            b = next(arrays)
+            if isinstance(layer, Conv2D):
+                x, x_in = _conv_forward(x, w, b, layer.pad)
+            elif x.ndim != 2:
+                raise ValueError("Dense layer needs flattened input; add a Flatten layer")
+            else:
+                x = x @ w + b
+            if i != last_weighted:
+                if keep_caches:
+                    mask = x > 0
+                x = np.maximum(x, 0)
         if keep_caches:
-            caches.append(cache)
+            caches.append((layer, x_in, w, mask))
     # stable log-softmax over the final logits
     z = x - x.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -270,48 +247,41 @@ def loss_and_gradients(params: ModelParams, images, labels) -> tuple[float, list
     array. Overflow is allowed to propagate as non-finite values and is then
     reported as NumericError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _loss_and_gradients(params, images, labels)
+        logp, caches = _run_layers(params, images, keep_caches=True)
+        n = images.shape[0]
+        loss = float(-logp[np.arange(n), labels].sum(dtype=np.float64) / n)
 
+        d = np.exp(logp)
+        d[np.arange(n), labels] -= 1
+        d /= n
 
-def _loss_and_gradients(params: ModelParams, images, labels) -> tuple[float, list[np.ndarray]]:
-    logp, caches = _run_layers(params, images, keep_caches=True)
-    n = images.shape[0]
-    loss = float(-logp[np.arange(n), labels].sum(dtype=np.float64) / n)
+        first_weighted = min(i for i, layer in enumerate(params.spec.layers) if layer.weight_shape)
+        flat_grads: list[np.ndarray] = []
+        for i in reversed(range(first_weighted, len(caches))):
+            layer, x, w, mask = caches[i]
+            if isinstance(layer, MaxPool2x2):
+                d = _pool_backward(d, mask)
+            elif isinstance(layer, Flatten):
+                d = d.reshape(x.shape)
+            else:
+                if mask is not None:
+                    d = d * mask
+                if isinstance(layer, Conv2D):
+                    d, dw, db = _conv_backward(d, x, w, layer.pad, input_grad=i > first_weighted)
+                else:
+                    dw = x.T @ d
+                    db = d.sum(axis=0)
+                    if i > first_weighted:
+                        d = d @ w.T
+                flat_grads += [db, dw.reshape(-1)]
+        flat_grads.reverse()
 
-    probs = np.exp(logp)
-    d = probs
-    d[np.arange(n), labels] -= 1
-    d /= n
-
-    flat_grads: list[np.ndarray] = []
-    for cache in reversed(caches):
-        kind = cache[0]
-        if kind == "pool":
-            d = _pool_backward(d, cache[1])
-        elif kind == "flatten":
-            d = d.reshape(cache[1])
-        elif kind == "dense":
-            _, x, w = cache[:3]
-            if len(cache) == 4:
-                d = d * cache[3]
-            dw = x.T @ d
-            db = d.sum(axis=0)
-            d = d @ w.T
-            flat_grads += [db, dw.reshape(-1)]
-        else:  # conv
-            _, xp, w, pad = cache[:4]
-            if len(cache) == 5:
-                d = d * cache[4]
-            d, dw, db = _conv_backward(d, xp, w, pad)
-            flat_grads += [db, dw.reshape(-1)]
-    flat_grads.reverse()
-
-    if not math.isfinite(loss):
-        raise NumericError(-1, f"non-finite loss {loss}")
-    for i, g in enumerate(flat_grads):
-        if not np.isfinite(g).all():
-            raise NumericError(i, f"non-finite gradient in parameter array {i}")
-    return loss, flat_grads
+        if not math.isfinite(loss):
+            raise NumericError(-1, f"non-finite loss {loss}")
+        for i, g in enumerate(flat_grads):
+            if not np.isfinite(g).all():
+                raise NumericError(i, f"non-finite gradient in parameter array {i}")
+        return loss, flat_grads
 
 
 def sgd_step(params: ModelParams, batch, cfg: TrainConfig) -> ModelParams:

@@ -1,3 +1,4 @@
+import math
 import os
 import struct
 from pathlib import Path
@@ -168,6 +169,125 @@ def resort_replacement(parents, offspring, directions):
             survivors[i].rank = rank
             survivors[i].crowding = dist
     return survivors
+
+
+def fan_build_model(spec: nn.ModelSpec, seed: int, dtype=np.float32) -> nn.ModelParams:
+    """Reference initialisation with the fans and sizes spelt out per layer type."""
+    rng = np.random.default_rng(seed)
+    arrays = []
+    for layer in spec.layers:
+        if isinstance(layer, nn.Dense):
+            fan_in, fan_out = layer.n_in, layer.n_out
+            w_size, b_size = layer.n_in * layer.n_out, layer.n_out
+        elif isinstance(layer, nn.Conv2D):
+            k2 = layer.kernel * layer.kernel
+            fan_in, fan_out = k2 * layer.c_in, k2 * layer.c_out
+            w_size, b_size = k2 * layer.c_in * layer.c_out, layer.c_out
+        else:
+            continue
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        arrays.append(rng.uniform(-limit, limit, w_size).astype(dtype))
+        arrays.append(np.zeros(b_size, dtype))
+    return nn.ModelParams(spec, arrays)
+
+
+def _tagged_weight_views(params):
+    it = iter(params.arrays)
+    for layer in params.spec.layers:
+        if isinstance(layer, nn.Dense):
+            yield layer, next(it).reshape(layer.n_in, layer.n_out), next(it)
+        elif isinstance(layer, nn.Conv2D):
+            k = layer.kernel
+            yield layer, next(it).reshape(k, k, layer.c_in, layer.c_out), next(it)
+        else:
+            yield layer, None, None
+
+
+def _input_grad_conv_backward(dout, xp, w, pad):
+    batch, height, width, _ = dout.shape
+    k = w.shape[0]
+    dw = np.empty_like(w)
+    dxp = np.zeros_like(xp)
+    for ky in range(k):
+        for kx in range(k):
+            patch = xp[:, ky : ky + height, kx : kx + width, :]
+            dw[ky, kx] = np.tensordot(patch, dout, axes=([0, 1, 2], [0, 1, 2]))
+            dxp[:, ky : ky + height, kx : kx + width, :] += dout @ w[ky, kx].T
+    return dxp[:, pad : pad + height, pad : pad + width, :], dw, dout.sum(axis=(0, 1, 2))
+
+
+def _tagged_run_layers(params, images):
+    spec = params.spec
+    views = list(_tagged_weight_views(params))
+    last_param = max(i for i, (_, w, _) in enumerate(views) if w is not None)
+    x = images.reshape(images.shape[0], *spec.input_shape)
+    caches = []
+    for i, (layer, w, b) in enumerate(views):
+        if isinstance(layer, nn.Dense):
+            pre = x @ w + b
+            cache = ("dense", x, w)
+        elif isinstance(layer, nn.Conv2D):
+            pre, xp = nn._conv_forward(x, w, b, layer.pad)
+            cache = ("conv", xp, w, layer.pad)
+        elif isinstance(layer, nn.MaxPool2x2):
+            x, mask = nn._pool_forward(x)
+            caches.append(("pool", mask))
+            continue
+        else:
+            caches.append(("flatten", x.shape))
+            x = x.reshape(x.shape[0], -1)
+            continue
+        if i == last_param:
+            x = pre
+        else:
+            x = np.maximum(pre, 0)
+            cache = cache + (pre > 0,)
+        caches.append(cache)
+    z = x - x.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return logp, caches
+
+
+def tagged_cache_forward(params, images):
+    """Reference class probabilities through the string-tagged forward pass."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(_tagged_run_layers(params, images)[0])
+
+
+def tagged_cache_loss_and_gradients(params, images, labels):
+    """Reference loss and gradients: string-tagged cache tuples, ReLU layers
+    told apart by tuple length, and the input gradient formed at every layer,
+    the first included. Non-finite results are returned, not raised."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logp, caches = _tagged_run_layers(params, images)
+        n = images.shape[0]
+        loss = float(-logp[np.arange(n), labels].sum(dtype=np.float64) / n)
+        d = np.exp(logp)
+        d[np.arange(n), labels] -= 1
+        d /= n
+        flat_grads = []
+        for cache in reversed(caches):
+            kind = cache[0]
+            if kind == "pool":
+                d = nn._pool_backward(d, cache[1])
+            elif kind == "flatten":
+                d = d.reshape(cache[1])
+            elif kind == "dense":
+                _, x, w = cache[:3]
+                if len(cache) == 4:
+                    d = d * cache[3]
+                dw = x.T @ d
+                db = d.sum(axis=0)
+                d = d @ w.T
+                flat_grads += [db, dw.reshape(-1)]
+            else:
+                _, xp, w, pad = cache[:4]
+                if len(cache) == 5:
+                    d = d * cache[4]
+                d, dw, db = _input_grad_conv_backward(d, xp, w, pad)
+                flat_grads += [db, dw.reshape(-1)]
+        flat_grads.reverse()
+    return loss, flat_grads
 
 
 def random_genome(bounds: Bounds, rng: np.random.Generator) -> Genome:

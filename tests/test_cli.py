@@ -186,6 +186,42 @@ def test_learning_rate_overflowing_float32_rejected(fixture_mnist_dir, capsys):
         assert "--lr" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--train-limit", "--test-limit"])
+def test_limits_below_one_are_config_errors(fixture_mnist_dir, tmp_path, capsys, flag):
+    for limit in (0, -3):
+        assert run_cli("optimize", "--mnist-dir", fixture_mnist_dir, "--out", tmp_path, flag, limit) == 1
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): 0}))
+    assert run_cli("optimize", "--mnist-dir", fixture_mnist_dir, "--config", cfg) == 1
+    assert f"{flag} must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["optimize", "baseline", "eval"])
+def test_more_clients_than_training_examples_is_config_error(fixture_mnist_dir, tmp_path, capsys, command):
+    genome = [json.dumps([5000, 1] + [0] * 4 + [32] * 4)] if command == "eval" else []
+    out = ["--out", tmp_path] if command != "eval" else []
+    argv = [command, *genome, "--mnist-dir", fixture_mnist_dir, *out, "--train-limit", 100]
+    assert run_cli(*argv, "--n-clients", 5000) == 1
+    assert "--n-clients 5000 exceeds the 100 training examples" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "[4,1,0,0,0,0,32,32,32,32]", "--workers", "7"],
+        ["eval", "[4,1,0,0,0,0,32,32,32,32]", "--out", "elsewhere"],
+        ["baseline", "--workers", "2"],
+    ],
+)
+def test_flags_a_command_ignores_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv)
+    assert info.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_missing_data_dir_is_data_error(tmp_path, monkeypatch):
     monkeypatch.delenv("FLCOP_MNIST_DIR", raising=False)
     assert run_cli("baseline", "--mnist-dir", tmp_path / "nope") == 2

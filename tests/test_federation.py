@@ -8,7 +8,7 @@ from flcop.codec import LayerCompressionSpec
 from flcop.data import partition
 from conftest import argsort_sparsify, float64_dequantize, make_synthetic, snap_loop_quantize
 
-TOY = nn.ModelSpec("toy_fc", (784,), (nn.Dense(784, 8), nn.Dense(8, 10)))
+TOY = nn.ModelSpec((784,), (nn.Dense(784, 8), nn.Dense(8, 10)))
 
 
 def _config(n_clients=4, participants=4, interval=1, bits=32, drop=0, epochs=1, batch=32, lr=0.1):
@@ -68,7 +68,7 @@ def test_aggregate_of_identical_models_is_exact():
 
 
 def test_aggregate_rejects_spec_mismatch():
-    other = nn.ModelSpec("toy2", (784,), (nn.Dense(784, 4), nn.Dense(4, 10)))
+    other = nn.ModelSpec((784,), (nn.Dense(784, 4), nn.Dense(4, 10)))
     with pytest.raises(ValueError):
         federation.aggregate([nn.build_model(TOY, 0), nn.build_model(other, 0)])
 

@@ -3,11 +3,10 @@ import pytest
 
 from flcop import nn
 from flcop.data import LabeledDataset
-from conftest import make_synthetic
+from conftest import fan_build_model, make_synthetic, tagged_cache_forward, tagged_cache_loss_and_gradients
 
-TOY_FC = nn.ModelSpec("toy_fc", (6,), (nn.Dense(6, 5), nn.Dense(5, 3)))
+TOY_FC = nn.ModelSpec((6,), (nn.Dense(6, 5), nn.Dense(5, 3)))
 TOY_CONV = nn.ModelSpec(
-    "toy_conv",
     (8, 8, 1),
     (
         nn.Conv2D(3, 1, 2),
@@ -27,11 +26,6 @@ def test_standard_parameter_layouts():
     assert fc.total_params == 33400
     assert conv.param_shapes == (800, 32, 25600, 32, 18432, 64, 36864, 64, 802816, 256, 2560, 10)
     assert conv.total_params == 887530
-
-
-def test_canonical_kind_names_enforce_their_layout():
-    with pytest.raises(ValueError):
-        nn.ModelSpec("fully_connected", (6,), (nn.Dense(6, 3),))
 
 
 def test_build_model_deterministic():
@@ -107,7 +101,68 @@ def test_non_finite_gradient_reports_layer():
     rng = np.random.default_rng(2)
     with pytest.raises(nn.NumericError) as info:
         nn.loss_and_gradients(params, rng.random((4, 6)), rng.integers(0, 3, 4))
-    assert info.value.layer_index >= -1
+    # the NaN weight makes the loss NaN, and the loss is checked first
+    assert info.value.layer_index == -1
+    assert "non-finite loss" in str(info.value)
+
+
+# a pool or a Flatten ahead of the first weighted layer, where backward stops
+POOL_FIRST = nn.ModelSpec(
+    (8, 8, 1), (nn.MaxPool2x2(), nn.Conv2D(3, 1, 2), nn.MaxPool2x2(), nn.Flatten(), nn.Dense(8, 3))
+)
+FLATTEN_FIRST = nn.ModelSpec((4, 4, 2), (nn.Flatten(), nn.Dense(32, 5), nn.Dense(5, 3)))
+# one layer object at two positions: only the first occurrence skips the input gradient
+_SHARED = nn.Dense(4, 4)
+SHARED_LAYER = nn.ModelSpec((4,), (_SHARED, _SHARED, nn.Dense(4, 3)))
+
+ORACLE_CASES = [
+    pytest.param(nn.fully_connected(), 64, id="fully_connected"),
+    pytest.param(nn.convolutional(), 3, id="convolutional"),
+    pytest.param(TOY_FC, 7, id="toy_fc"),
+    pytest.param(TOY_CONV, 4, id="toy_conv"),
+    pytest.param(POOL_FIRST, 5, id="pool_first"),
+    pytest.param(FLATTEN_FIRST, 6, id="flatten_first"),
+    pytest.param(SHARED_LAYER, 5, id="shared_layer"),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("spec,batch", ORACLE_CASES)
+def test_matches_tagged_cache_oracle(spec, batch, dtype):
+    for seed in (0, 1):
+        params = nn.build_model(spec, seed, dtype=dtype)
+        reference = fan_build_model(spec, seed, dtype=dtype)
+        assert [a.tobytes() for a in params.arrays] == [a.tobytes() for a in reference.arrays]
+        assert [a.dtype for a in params.arrays] == [a.dtype for a in reference.arrays]
+        rng = np.random.default_rng(seed)
+        for arr in params.arrays:  # move biases off zero so every path is exercised
+            arr += rng.normal(0, 0.1, arr.size).astype(dtype)
+        images = rng.random((batch, spec.input_width)).astype(dtype)
+        labels = rng.integers(0, spec.param_shapes[-1], batch)
+        assert nn.forward(params, images).tobytes() == tagged_cache_forward(params, images).tobytes()
+        loss, grads = nn.loss_and_gradients(params, images, labels)
+        ref_loss, ref_grads = tagged_cache_loss_and_gradients(params, images, labels)
+        assert loss.hex() == ref_loss.hex()
+        assert len(grads) == len(ref_grads) == spec.n_arrays
+        for g, r in zip(grads, ref_grads):
+            assert g.dtype == r.dtype and g.shape == r.shape
+            assert g.tobytes() == r.tobytes()
+
+
+def test_backward_forms_no_input_gradient_at_the_first_weighted_layer(monkeypatch):
+    flags = []
+    conv_backward = nn._conv_backward
+
+    def spy(dout, xp, w, pad, input_grad):
+        flags.append(input_grad)
+        return conv_backward(dout, xp, w, pad, input_grad)
+
+    monkeypatch.setattr(nn, "_conv_backward", spy)
+    params = nn.build_model(POOL_FIRST, 0, dtype=np.float64)
+    nn.loss_and_gradients(params, np.random.default_rng(0).random((2, 64)), np.array([0, 2]))
+    assert flags == [False]
+    nn.loss_and_gradients(nn.build_model(TOY_CONV, 0), np.zeros((2, 64), np.float32), np.array([0, 2]))
+    assert flags == [False, True, False]
 
 
 def _finite_difference_check(spec, seed, n_examples, eps=1e-5):
