@@ -2,8 +2,9 @@
 evaluator, and report regenerator.
 
 `optimize` maps one evaluation task in-process for --workers 1, else over one
-process pool per campaign whose workers read the data once. `optimize` and
-`report` write their outputs through the same export.
+process pool per campaign whose workers read the data once. It writes
+campaign.json first and each run's files as that run ends, then builds the
+merged outputs as `report` does, from those files.
 
 Configuration precedence: explicit flags > config file (--config, JSON or
 key=value lines) > preset bundle (--preset) > built-in defaults. The built-in
@@ -324,9 +325,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     bounds = BOUNDS_PRESETS[options["bounds"]](options["n_clients"], spec.n_arrays)
     out = Path(options["out"])
     out.mkdir(parents=True, exist_ok=True)
+    metrics.write_json(out / "campaign.json", _campaign_manifest(options, bounds))
 
-    run_fronts: list[list[metrics.ParetoPoint]] = []
-    hv_tables = []
     with _task_map(options, train, test) as map_tasks:
         for run_id in range(1, options["runs"] + 1):
             run_seed = options["seed"] + run_id - 1
@@ -342,17 +342,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                 return list(map_tasks(_evaluate_task, tasks))
 
             result = nsga2.run(evaluate, params, directions=(1, -1), hv_reference=metrics.HV_REFERENCE)
-            run_fronts.append(_front_points(result, run_id, options["generations"]))
-            hv_tables.append([(r.generation, r.hv_front, r.evaluations, r.hv_archive) for r in result.history])
+            front = _front_points(result, run_id, options["generations"])
+            metrics.write_pareto_csv(out / f"pareto_run{run_id}.csv", front, bounds.n_layers)
+            hv_rows = [(r.generation, r.hv_front, r.evaluations, r.hv_archive) for r in result.history]
+            metrics.write_csv(out / f"hypervolume_run{run_id}.csv", metrics.HV_HEADER, hv_rows)
             _write_generation_log(out / f"generations_run{run_id}.jsonl", result.history)
-            print(f"run {run_id}/{options['runs']}: front size {len(run_fronts[-1])}, evaluations {result.evaluations}")
+            print(f"run {run_id}/{options['runs']}: front size {len(front)}, evaluations {result.evaluations}")
 
-    manifest = _campaign_manifest(options, bounds)
-    (out / "campaign.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
-    _print_merged(metrics.export_campaign(out, run_fronts, hv_tables, bounds, manifest))
-    return EXIT_OK
+    return report(out)
 
 
 def _print_merged(summary: dict) -> None:
@@ -401,9 +398,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     payload = _simulate_payload(brute_force_genome(env.n_clients, env.spec.n_arrays), env, args)
     out = Path(options["out"])
     out.mkdir(parents=True, exist_ok=True)
-    (out / "baseline.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
+    metrics.write_json(out / "baseline.json", payload)
     print(json.dumps(payload["objectives"]))
     return EXIT_OK
 
@@ -457,8 +452,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    out = Path(args.dir)
+def report(out: Path) -> int:
+    """Build the merged outputs of the campaign in out from its manifest and
+    per-run CSVs, all read and checked before anything is written."""
     manifest_path = out / "campaign.json"
     if not manifest_path.is_file():
         raise DataError(f"missing {manifest_path}")
@@ -480,10 +476,23 @@ def cmd_report(args: argparse.Namespace) -> int:
     if missing:
         raise DataError("missing campaign files: " + ", ".join(missing))
 
-    run_fronts = [metrics.read_pareto_csv(out / f"pareto_run{k}.csv") for k in range(1, runs + 1)]
-    hv_tables = [metrics.read_hypervolume_csv(out / f"hypervolume_run{k}.csv") for k in range(1, runs + 1)]
+    run_fronts, hv_tables = [], []
+    try:
+        for k in range(1, runs + 1):
+            path = out / f"pareto_run{k}.csv"
+            run_fronts.append(metrics.read_pareto_csv(path))
+            for point in run_fronts[-1]:
+                point.genome.validate(bounds)
+            path = out / f"hypervolume_run{k}.csv"
+            hv_tables.append(metrics.read_hypervolume_csv(path))
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     _print_merged(metrics.export_campaign(out, run_fronts, hv_tables, bounds, manifest))
     return EXIT_OK
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    return report(Path(args.dir))
 
 
 COMMANDS = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -139,66 +139,57 @@ def elbow_point(front: Sequence[ParetoPoint]) -> ParetoPoint:
     return best
 
 
-FRONT_KINDS = ("best_accuracy", "elbow", "lowest_comm")
-
 _SELECTORS = {
     "best_accuracy": best_accuracy_point,
     "elbow": elbow_point,
     "lowest_comm": lowest_comm_point,
 }
 
+FRONT_KINDS = tuple(_SELECTORS)
+
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     return repr(float(value)) if isinstance(value, float) else str(int(value))
 
 
-def pareto_header(n_layers: int) -> str:
-    mus = ",".join(f"mu_{i + 1}" for i in range(n_layers))
-    bs = ",".join(f"b_{i + 1}" for i in range(n_layers))
-    return f"run,gen,f1,f2,m,E,{mus},{bs}"
-
-
-def write_pareto_csv(path, points: Sequence[ParetoPoint], n_layers: int) -> None:
-    lines = [pareto_header(n_layers)]
-    for p in points:
-        fields = [p.run_id, p.generation, p.comm, p.accuracy, *p.genome.to_vector()]
-        lines.append(",".join(_fmt(v) for v in fields))
+def write_csv(path, header: str, rows: Iterable[Sequence]) -> None:
+    """One header line, then one line per row; repr round-trips every float."""
+    lines = [header, *(",".join(_fmt(v) for v in row) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def read_csv(path) -> list[list[str]]:
+    """The cells of each non-empty line after the header."""
+    return [line.split(",") for line in Path(path).read_text(encoding="utf-8").splitlines()[1:] if line]
+
+
+def write_json(path, obj) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
+
+
+def pareto_header(n_layers: int) -> str:
+    return ",".join(["run", "gen", "f1", "f2", *Bounds(1, n_layers).coordinate_names()])
+
+
+def write_pareto_csv(path, points: Sequence[ParetoPoint], n_layers: int) -> None:
+    rows = ([p.run_id, p.generation, p.comm, p.accuracy, *p.genome.to_vector()] for p in points)
+    write_csv(path, pareto_header(n_layers), rows)
+
+
 def read_pareto_csv(path) -> list[ParetoPoint]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    points = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        cells = line.split(",")
-        run_id, gen = int(cells[0]), int(cells[1])
-        f1, f2 = float(cells[2]), float(cells[3])
-        genome = Genome.from_vector([int(c) for c in cells[4:]])
-        points.append(ParetoPoint(f1, f2, genome, run_id, gen))
-    return points
+    return [
+        ParetoPoint(float(f1), float(f2), Genome.from_vector([int(c) for c in genes]), int(run_id), int(gen))
+        for run_id, gen, f1, f2, *genes in read_csv(path)
+    ]
 
 
 HV_HEADER = "gen,hv,evals,hv_archive"
 
 
-def write_hypervolume_csv(path, rows: Sequence[tuple[int, float, int, float]]) -> None:
-    lines = [HV_HEADER]
-    for gen, hv, evals, hv_archive in rows:
-        lines.append(f"{gen},{_fmt(hv)},{evals},{_fmt(hv_archive)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
 def read_hypervolume_csv(path) -> list[tuple[int, float, int, float]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        gen, hv, evals, hv_archive = line.split(",")
-        rows.append((int(gen), float(hv), int(evals), float(hv_archive)))
-    return rows
+    return [(int(gen), float(hv), int(evals), float(hv_archive)) for gen, hv, evals, hv_archive in read_csv(path)]
 
 
 def genome_stats_rows(run_fronts: Sequence[Sequence[ParetoPoint]], bounds: Bounds) -> list[tuple]:
@@ -225,13 +216,6 @@ def genome_stats_rows(run_fronts: Sequence[Sequence[ParetoPoint]], bounds: Bound
 
 
 GENOME_STATS_HEADER = "kind,coord,q1,median,q3"
-
-
-def write_genome_stats_csv(path, rows: Sequence[tuple]) -> None:
-    lines = [GENOME_STATS_HEADER]
-    for kind, coord, q1, med, q3 in rows:
-        lines.append(f"{kind},{coord},{_fmt(q1)},{_fmt(med)},{_fmt(q3)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def build_summary(
@@ -263,12 +247,6 @@ def build_summary(
     }
 
 
-def write_summary(path, summary: dict) -> None:
-    Path(path).write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
-
-
 def export_campaign(
     out_dir,
     run_fronts: Sequence[Sequence[ParetoPoint]],
@@ -276,18 +254,12 @@ def export_campaign(
     bounds: Bounds,
     manifest: dict,
 ) -> dict:
-    """Write per-run fronts, hypervolume traces, the merged front, genome
-    statistics, and summary.json into out_dir. Returns the summary."""
+    """Write the merged front, genome statistics and summary.json of the
+    runs' fronts and hypervolume traces into out_dir. Returns the summary."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    n_layers = bounds.n_layers
-    for k, front in enumerate(run_fronts, start=1):
-        write_pareto_csv(out / f"pareto_run{k}.csv", front, n_layers)
-    for k, rows in enumerate(hv_tables, start=1):
-        write_hypervolume_csv(out / f"hypervolume_run{k}.csv", rows)
     merged = merge_pseudo_optimal(run_fronts) if run_fronts else []
-    write_pareto_csv(out / "pareto_merged.csv", merged, n_layers)
-    write_genome_stats_csv(out / "genome_stats.csv", genome_stats_rows(run_fronts, bounds))
+    write_pareto_csv(out / "pareto_merged.csv", merged, bounds.n_layers)
+    write_csv(out / "genome_stats.csv", GENOME_STATS_HEADER, genome_stats_rows(run_fronts, bounds))
     summary = build_summary(run_fronts, merged, hv_tables, manifest)
-    write_summary(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     return summary

@@ -134,9 +134,6 @@ class ModelParams:
     spec: ModelSpec
     arrays: list[np.ndarray]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.spec, [a.copy() for a in self.arrays])
-
 
 def build_model(spec: ModelSpec, seed: int, dtype=np.float32) -> ModelParams:
     """Deterministic initialization: uniform +/- sqrt(6 / (fan_in + fan_out)) weights, zero biases.

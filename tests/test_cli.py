@@ -234,14 +234,13 @@ def test_env_var_fallback(fixture_mnist_dir, tmp_path, monkeypatch, capsys):
     assert rc == 0
 
 
+CAMPAIGN_FLAGS = ("--pop", 8, "--generations", 3, "--runs", 2, "--seed", 5)
+
+
 @pytest.fixture(scope="module")
 def campaign_dir(fixture_mnist_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("campaign")
-    rc = run_cli(
-        "optimize", "--mnist-dir", fixture_mnist_dir, "--out", out,
-        "--pop", 8, "--generations", 3, "--runs", 2, "--seed", 5,
-    )
-    assert rc == 0
+    assert run_cli("optimize", "--mnist-dir", fixture_mnist_dir, "--out", out, *CAMPAIGN_FLAGS) == 0
     return out
 
 
@@ -303,6 +302,59 @@ def test_report_names_missing_files(campaign_dir, capsys):
         assert "pareto_run2.csv" in capsys.readouterr().err
     finally:
         moved.write_bytes(stash)
+
+
+def _non_numeric_f1(lines):
+    cells = lines[1].split(",")
+    cells[2] = "abc"
+    return [lines[0], ",".join(cells), *lines[2:]]
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        ("pareto_run2.csv", _non_numeric_f1),
+        ("hypervolume_run1.csv", lambda lines: [*lines, "4,0.5"]),
+        # consistent as a CSV, but a 1-layer genome under a 4-layer manifest
+        ("pareto_run1.csv", lambda lines: ["run,gen,f1,f2,m,E,mu_1,b_1", "1,3,0.5,0.5,4,10,0,32"]),
+    ],
+    ids=["non-numeric-cell", "short-row", "wrong-layer-count"],
+)
+def test_report_rejects_malformed_run_files(campaign_dir, tmp_path, capsys, name, corrupt):
+    out = tmp_path / "campaign"
+    shutil.copytree(campaign_dir, out)
+    path = out / name
+    path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run_cli("report", out) == 2
+    assert name in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_killed_campaign_keeps_finished_runs(fixture_mnist_dir, campaign_dir, tmp_path, monkeypatch, capsys):
+    real_run = cli.nsga2.run
+    calls = []
+
+    def run_then_die(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("killed during run 2")
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli.nsga2, "run", run_then_die)
+    out = tmp_path / "killed"
+    assert run_cli("optimize", "--mnist-dir", fixture_mnist_dir, "--out", out, *CAMPAIGN_FLAGS) == 3
+    kept = ["campaign.json", "generations_run1.jsonl", "hypervolume_run1.csv", "pareto_run1.csv"]
+    assert sorted(p.name for p in out.iterdir()) == kept
+    for name in kept[1:]:
+        assert (out / name).read_bytes() == (campaign_dir / name).read_bytes(), name
+    manifests = [json.loads((d / "campaign.json").read_text()) for d in (out, campaign_dir)]
+    for manifest in manifests:
+        del manifest["out"]
+    assert manifests[0] == manifests[1]
+    capsys.readouterr()
+    assert run_cli("report", out) == 2
+    assert "pareto_run2.csv" in capsys.readouterr().err
 
 
 def test_campaign_deterministic_across_workers(fixture_mnist_dir, tmp_path):

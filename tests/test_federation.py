@@ -63,7 +63,7 @@ def test_aggregate_mean_of_constants():
 
 def test_aggregate_of_identical_models_is_exact():
     m = nn.build_model(TOY, 3)
-    agg = federation.aggregate([m.copy() for _ in range(3)])
+    agg = federation.aggregate([nn.ModelParams(m.spec, [a.copy() for a in m.arrays]) for _ in range(3)])
     assert all(np.array_equal(a, b) for a, b in zip(agg.arrays, m.arrays))
 
 

@@ -221,6 +221,9 @@ def test_export_and_read_back(tmp_path):
         [(0, 0.5, 10, 0.5), (1, 0.6, 20, 0.65)],
         [(0, 0.4, 10, 0.4)],
     ]
+    for k, (front, rows) in enumerate(zip(fronts, hv_tables), start=1):
+        metrics.write_pareto_csv(tmp_path / f"pareto_run{k}.csv", front, bounds.n_layers)
+        metrics.write_csv(tmp_path / f"hypervolume_run{k}.csv", metrics.HV_HEADER, rows)
     summary = metrics.export_campaign(tmp_path, fronts, hv_tables, bounds, {"runs": 2})
     assert (tmp_path / "pareto_run1.csv").read_text().splitlines()[0] == "run,gen,f1,f2,m,E,mu_1,mu_2,b_1,b_2"
     assert (tmp_path / "hypervolume_run1.csv").read_text().splitlines()[0] == "gen,hv,evals,hv_archive"

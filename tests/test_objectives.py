@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,15 +161,17 @@ LEDGER_TEST = make_synthetic(64, 6)
 
 
 @st.composite
-def ledger_cases(draw):
+def ledger_cases(draw, divisors_only=True):
     """A batch size, giving a budget of 64 / batch iterations, and a genome
-    whose E divides that budget."""
+    whose E divides that budget, or with divisors_only=False any E of the
+    default bounds."""
     batch = draw(st.sampled_from([8, 16, 32, 64]))
     budget = 64 // batch
     n_layers = nn.fully_connected().n_arrays
+    divisors = [e for e in range(1, budget + 1) if budget % e == 0]
     genome = Genome(
         draw(st.integers(1, 4)),
-        draw(st.sampled_from([e for e in range(1, budget + 1) if budget % e == 0])),
+        draw(st.sampled_from(divisors) if divisors_only else st.integers(1, 1000)),
         tuple(draw(st.lists(st.integers(0, 50), min_size=n_layers, max_size=n_layers))),
         tuple(draw(st.lists(st.integers(1, 32), min_size=n_layers, max_size=n_layers))),
     )
@@ -194,6 +198,23 @@ def test_ledger_agrees_with_closed_form(case):
     modelled = beta * (total_iters * 4 * theta)
     actual = outcome.ledger.uplink_bits - rounds * m * extrema
     assert abs(actual - modelled) <= rounds * m * len(sizes) * 32
+    assert outcome.ledger.uplink_bits == rounds * m * payload_bits(cfg.layer_specs, sizes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ledger_cases(divisors_only=False))
+def test_ledger_runs_ceil_rounds_for_every_interval(case):
+    # f1 charges m * T / E rounds of downloads; the run executes ceil(T / E)
+    batch, total_iters, g = case
+    env = EvalEnv(nn.fully_connected(), LEDGER_TRAIN, LEDGER_TEST, nn.TrainConfig(0.1, batch), 1, seed=9)
+    cfg = objectives.build_run_config(g, env)
+    outcome = run_federated_training(cfg, LEDGER_TRAIN, LEDGER_TEST, seed=1)
+    sizes = env.spec.param_shapes
+    theta = 32 * sum(sizes)
+    rounds = math.ceil(total_iters / g.interval)
+    m = g.participants
+    assert outcome.ledger.rounds_executed == rounds
+    assert outcome.ledger.downlink_bits == m * rounds * theta
     assert outcome.ledger.uplink_bits == rounds * m * payload_bits(cfg.layer_specs, sizes)
 
 
