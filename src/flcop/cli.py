@@ -2,9 +2,10 @@
 evaluator, and report regenerator.
 
 `optimize` maps one evaluation task in-process for --workers 1, else over one
-process pool per campaign whose workers read the data once. It writes
-campaign.json first and each run's files as that run ends, then builds the
-merged outputs as `report` does, from those files.
+process pool per campaign whose workers read the data once. It deletes the
+files it is about to write, writes campaign.json first and each run's files
+as that run ends, then builds the merged outputs as `report` does, from
+those files.
 
 Configuration precedence: explicit flags > config file (--config, JSON or
 key=value lines) > preset bundle (--preset) > built-in defaults. The built-in
@@ -318,6 +319,14 @@ def _write_generation_log(path: Path, history: list[nsga2.GenerationRecord]) -> 
             f.write(json.dumps(row) + "\n")
 
 
+def _run_files(run_id: int) -> tuple[str, str, str]:
+    """The pareto, hypervolume and generation-log file names of one run."""
+    return f"pareto_run{run_id}.csv", f"hypervolume_run{run_id}.csv", f"generations_run{run_id}.jsonl"
+
+
+MERGED_FILES = ("pareto_merged.csv", "genome_stats.csv", "summary.json")
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
     options = resolve_options(args)
     train, test = _load_datasets(options)
@@ -325,6 +334,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     bounds = BOUNDS_PRESETS[options["bounds"]](options["n_clients"], spec.n_arrays)
     out = Path(options["out"])
     out.mkdir(parents=True, exist_ok=True)
+    # an older campaign's files must not pass for this one's if it is killed
+    for run_id in range(1, options["runs"] + 1):
+        for name in _run_files(run_id):
+            (out / name).unlink(missing_ok=True)
+    for name in MERGED_FILES:
+        (out / name).unlink(missing_ok=True)
     metrics.write_json(out / "campaign.json", _campaign_manifest(options, bounds))
 
     with _task_map(options, train, test) as map_tasks:
@@ -343,10 +358,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
             result = nsga2.run(evaluate, params, directions=(1, -1), hv_reference=metrics.HV_REFERENCE)
             front = _front_points(result, run_id, options["generations"])
-            metrics.write_pareto_csv(out / f"pareto_run{run_id}.csv", front, bounds.n_layers)
+            pareto_name, hv_name, log_name = _run_files(run_id)
+            metrics.write_pareto_csv(out / pareto_name, front, bounds.n_layers)
             hv_rows = [(r.generation, r.hv_front, r.evaluations, r.hv_archive) for r in result.history]
-            metrics.write_csv(out / f"hypervolume_run{run_id}.csv", metrics.HV_HEADER, hv_rows)
-            _write_generation_log(out / f"generations_run{run_id}.jsonl", result.history)
+            metrics.write_csv(out / hv_name, metrics.HV_HEADER, hv_rows)
+            _write_generation_log(out / log_name, result.history)
             print(f"run {run_id}/{options['runs']}: front size {len(front)}, evaluations {result.evaluations}")
 
     return report(out)
@@ -470,7 +486,7 @@ def report(out: Path) -> int:
         raise DataError(f"{manifest_path} is not a campaign manifest: {type(exc).__name__}: {exc}") from exc
     missing = []
     for k in range(1, runs + 1):
-        for name in (f"pareto_run{k}.csv", f"hypervolume_run{k}.csv"):
+        for name in _run_files(k)[:2]:
             if not (out / name).is_file():
                 missing.append(name)
     if missing:
@@ -479,11 +495,15 @@ def report(out: Path) -> int:
     run_fronts, hv_tables = [], []
     try:
         for k in range(1, runs + 1):
-            path = out / f"pareto_run{k}.csv"
+            pareto_name, hv_name, _ = _run_files(k)
+            path = out / pareto_name
             run_fronts.append(metrics.read_pareto_csv(path))
             for point in run_fronts[-1]:
                 point.genome.validate(bounds)
-            path = out / f"hypervolume_run{k}.csv"
+                # both objectives are fractions; NaN fails the comparison too
+                if not (0.0 <= point.comm <= 1.0 and 0.0 <= point.accuracy <= 1.0):
+                    raise ValueError(f"objectives ({point.comm}, {point.accuracy}) lie outside [0, 1]")
+            path = out / hv_name
             hv_tables.append(metrics.read_hypervolume_csv(path))
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc

@@ -56,7 +56,7 @@ def sparsify(layer: np.ndarray, drop_percent: int) -> np.ndarray:
     """Indices of the k = ceil(n * (100 - drop_percent) / 100) largest-magnitude
     entries, returned sorted ascending.
 
-    Selection is by threshold: one partition finds the k-th largest float64
+    Selection is by threshold: one partition finds the k-th largest
     magnitude, every entry above it is kept, and entries equal to it fill the
     remaining places lowest index first. NaN ranks below every number, ties
     among NaNs again going to the lower index. When k == n every index is
@@ -72,8 +72,12 @@ def sparsify(layer: np.ndarray, drop_percent: int) -> np.ndarray:
     if k == n:
         return np.arange(n)
     # negated magnitudes: ascending order is descending magnitude, and the
-    # partition's NaN-last order ranks NaN below every number
-    key = np.abs(layer.reshape(-1), dtype=np.float64)
+    # partition's NaN-last order ranks NaN below every number. abs and
+    # negation are exact in a float dtype that float64 holds, so such a layer
+    # keys in its own dtype with the comparisons of float64; any other dtype
+    # keys in float64, where abs of the lowest integer cannot overflow
+    exact = layer.dtype.kind == "f" and np.can_cast(layer.dtype, np.float64)
+    key = np.abs(layer.reshape(-1), dtype=layer.dtype if exact else np.float64)
     np.negative(key, out=key)
     thr = np.partition(key, k - 1)[k - 1]
     if math.isnan(thr):

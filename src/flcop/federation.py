@@ -86,7 +86,8 @@ def aggregate(local_models: list[ModelParams]) -> ModelParams:
         acc = np.zeros(spec.param_shapes[i], np.float64)
         for m in local_models:
             acc += m.arrays[i]
-        out.append((acc / len(local_models)).astype(dtype))
+        acc /= len(local_models)
+        out.append(acc.astype(dtype))
     return ModelParams(spec, out)
 
 

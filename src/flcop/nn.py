@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,12 +63,13 @@ class Flatten:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Network topology plus the derived flat parameter-array layout."""
+    """Network topology plus the derived flat parameter-array layout, each
+    layout fact computed once per spec."""
 
     input_shape: tuple[int, ...]
     layers: tuple
 
-    @property
+    @cached_property
     def param_shapes(self) -> tuple[int, ...]:
         shapes = []
         for layer in self.layers:
@@ -83,9 +85,17 @@ class ModelSpec:
     def total_params(self) -> int:
         return sum(self.param_shapes)
 
-    @property
+    @cached_property
     def input_width(self) -> int:
-        return int(np.prod(self.input_shape))
+        return math.prod(self.input_shape)
+
+    @cached_property
+    def first_weighted(self) -> int:
+        return min(i for i, layer in enumerate(self.layers) if layer.weight_shape)
+
+    @cached_property
+    def last_weighted(self) -> int:
+        return max(i for i, layer in enumerate(self.layers) if layer.weight_shape)
 
 
 def fully_connected() -> ModelSpec:
@@ -162,15 +172,31 @@ def _conv_forward(x, w, b, pad):
 
 
 def _conv_backward(dout, xp, w, pad, input_grad: bool):
-    """(dx, dw, db) of a same-padded conv; dx is None unless input_grad."""
-    batch, height, width, _ = dout.shape
-    k = w.shape[0]
+    """(dx, dw, db) of a same-padded conv; dx is None unless input_grad.
+
+    dw[ky, kx] is a tensordot of the tap's input window with dout. Where the
+    window's rows do not flatten into one stride, tensordot would copy it
+    channels-first for every tap; instead the padded input is transposed once
+    and each window copied from it into one reused buffer, and the same dot
+    runs on the same layout, so dw keeps tensordot's bits."""
+    batch, height, width, c_out = dout.shape
+    k, c_in = w.shape[0], w.shape[2]
     dw = np.empty_like(w)
     dxp = np.zeros_like(xp) if input_grad else None
+    # a window flattens into a strided view when unpadded or along one axis
+    strided = pad == 0 or sum(n > 1 for n in (batch, height, width)) <= 1
+    if not strided:
+        channels_first = np.ascontiguousarray(xp.transpose(3, 0, 1, 2))
+        window = np.empty((c_in, batch, height, width), xp.dtype)
+        rows = dout.reshape(-1, c_out)
     for ky in range(k):
         for kx in range(k):
-            patch = xp[:, ky : ky + height, kx : kx + width, :]
-            dw[ky, kx] = np.tensordot(patch, dout, axes=([0, 1, 2], [0, 1, 2]))
+            if strided:
+                patch = xp[:, ky : ky + height, kx : kx + width, :]
+                dw[ky, kx] = np.tensordot(patch, dout, axes=([0, 1, 2], [0, 1, 2]))
+            else:
+                window[...] = channels_first[:, :, ky : ky + height, kx : kx + width]
+                dw[ky, kx] = np.dot(window.reshape(c_in, -1), rows)
             if input_grad:
                 dxp[:, ky : ky + height, kx : kx + width, :] += dout @ w[ky, kx].T
     db = dout.sum(axis=(0, 1, 2))
@@ -200,7 +226,6 @@ def _run_layers(params: ModelParams, images: np.ndarray, keep_caches: bool):
     if images.ndim != 2 or images.shape[1] != spec.input_width:
         raise ValueError(f"expected image rows of width {spec.input_width}, got {images.shape}")
     arrays = iter(params.arrays)
-    last_weighted = max(i for i, layer in enumerate(spec.layers) if layer.weight_shape)
 
     x = images.reshape(images.shape[0], *spec.input_shape)
     caches = []
@@ -219,24 +244,26 @@ def _run_layers(params: ModelParams, images: np.ndarray, keep_caches: bool):
             elif x.ndim != 2:
                 raise ValueError("Dense layer needs flattened input; add a Flatten layer")
             else:
-                x = x @ w + b
-            if i != last_weighted:
+                x = x @ w
+                x += b
+            # a weighted layer's output is a new array, so it is overwritten in place
+            if i != spec.last_weighted:
                 if keep_caches:
                     mask = x > 0
-                x = np.maximum(x, 0)
+                np.maximum(x, 0, out=x)
         if keep_caches:
             caches.append((layer, x_in, w, mask))
-    # stable log-softmax over the final logits
-    z = x - x.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return logp, caches
+    # stable log-softmax, in place on the final logits
+    x -= x.max(axis=1, keepdims=True)
+    x -= np.log(np.exp(x).sum(axis=1, keepdims=True))
+    return x, caches
 
 
 def forward(params: ModelParams, images: np.ndarray) -> np.ndarray:
     """Class-probability matrix: one non-negative row per image, rows sum to 1."""
     with np.errstate(over="ignore", invalid="ignore"):
         logp, _ = _run_layers(params, images, keep_caches=False)
-        return np.exp(logp)
+        return np.exp(logp, out=logp)
 
 
 def loss_and_gradients(params: ModelParams, images, labels) -> tuple[float, list[np.ndarray]]:
@@ -246,13 +273,16 @@ def loss_and_gradients(params: ModelParams, images, labels) -> tuple[float, list
     with np.errstate(over="ignore", invalid="ignore"):
         logp, caches = _run_layers(params, images, keep_caches=True)
         n = images.shape[0]
-        loss = float(-logp[np.arange(n), labels].sum(dtype=np.float64) / n)
+        # each row's label entry as one flat index; the logits are a new
+        # C-contiguous array, so reshape(-1) is a view that writes through
+        picked = np.ravel_multi_index((np.arange(n), labels), logp.shape)
+        loss = float(-logp.reshape(-1)[picked].sum(dtype=np.float64) / n)
 
-        d = np.exp(logp)
-        d[np.arange(n), labels] -= 1
+        d = np.exp(logp, out=logp)
+        d.reshape(-1)[picked] -= 1
         d /= n
 
-        first_weighted = min(i for i, layer in enumerate(params.spec.layers) if layer.weight_shape)
+        first_weighted = params.spec.first_weighted
         flat_grads: list[np.ndarray] = []
         for i in reversed(range(first_weighted, len(caches))):
             layer, x, w, mask = caches[i]
@@ -262,7 +292,7 @@ def loss_and_gradients(params: ModelParams, images, labels) -> tuple[float, list
                 d = d.reshape(x.shape)
             else:
                 if mask is not None:
-                    d = d * mask
+                    d *= mask
                 if isinstance(layer, Conv2D):
                     d, dw, db = _conv_backward(d, x, w, layer.pad, input_grad=i > first_weighted)
                 else:
@@ -287,7 +317,11 @@ def sgd_step(params: ModelParams, batch, cfg: TrainConfig) -> ModelParams:
         raise ValueError("batch must be non-empty")
     _, grads = loss_and_gradients(params, batch.images, batch.labels)
     lr = params.arrays[0].dtype.type(cfg.learning_rate)
-    return ModelParams(params.spec, [a - lr * g for a, g in zip(params.arrays, grads)])
+    # the gradients are this step's own arrays, so each is scaled in place
+    # and then overwritten by the updated parameters
+    return ModelParams(
+        params.spec, [np.subtract(a, np.multiply(g, lr, out=g), out=g) for a, g in zip(params.arrays, grads)]
+    )
 
 
 def count_correct(params: ModelParams, ds, chunk: int = 256) -> int:

@@ -203,17 +203,22 @@ def _tagged_weight_views(params):
             yield layer, None, None
 
 
-def _input_grad_conv_backward(dout, xp, w, pad):
+def scatter_conv_backward(dout, xp, w, pad, input_grad: bool):
+    """Reference conv backward: dw by one tensordot per tap over the strided
+    window, dx by scattering each tap's product into a padded zero array."""
     batch, height, width, _ = dout.shape
     k = w.shape[0]
     dw = np.empty_like(w)
-    dxp = np.zeros_like(xp)
+    dxp = np.zeros_like(xp) if input_grad else None
     for ky in range(k):
         for kx in range(k):
             patch = xp[:, ky : ky + height, kx : kx + width, :]
             dw[ky, kx] = np.tensordot(patch, dout, axes=([0, 1, 2], [0, 1, 2]))
-            dxp[:, ky : ky + height, kx : kx + width, :] += dout @ w[ky, kx].T
-    return dxp[:, pad : pad + height, pad : pad + width, :], dw, dout.sum(axis=(0, 1, 2))
+            if input_grad:
+                dxp[:, ky : ky + height, kx : kx + width, :] += dout @ w[ky, kx].T
+    db = dout.sum(axis=(0, 1, 2))
+    dx = dxp[:, pad : pad + height, pad : pad + width, :] if input_grad else None
+    return dx, dw, db
 
 
 def _tagged_run_layers(params, images):
@@ -284,10 +289,100 @@ def tagged_cache_loss_and_gradients(params, images, labels):
                 _, xp, w, pad = cache[:4]
                 if len(cache) == 5:
                     d = d * cache[4]
-                d, dw, db = _input_grad_conv_backward(d, xp, w, pad)
+                d, dw, db = scatter_conv_backward(d, xp, w, pad, input_grad=True)
                 flat_grads += [db, dw.reshape(-1)]
         flat_grads.reverse()
     return loss, flat_grads
+
+
+def _copying_run_layers(params, images, keep_caches: bool):
+    spec = params.spec
+    if images.ndim != 2 or images.shape[1] != math.prod(spec.input_shape):
+        raise ValueError(f"expected image rows of width {math.prod(spec.input_shape)}, got {images.shape}")
+    arrays = iter(params.arrays)
+    last_weighted = max(i for i, layer in enumerate(spec.layers) if layer.weight_shape)
+
+    x = images.reshape(images.shape[0], *spec.input_shape)
+    caches = []
+    for i, layer in enumerate(spec.layers):
+        x_in, w, mask = x, None, None
+        if isinstance(layer, nn.MaxPool2x2):
+            x_in = None
+            x, mask = nn._pool_forward(x)
+        elif isinstance(layer, nn.Flatten):
+            x = x.reshape(x.shape[0], -1)
+        else:
+            w = next(arrays).reshape(layer.weight_shape)
+            b = next(arrays)
+            if isinstance(layer, nn.Conv2D):
+                x, x_in = nn._conv_forward(x, w, b, layer.pad)
+            else:
+                x = x @ w + b
+            if i != last_weighted:
+                if keep_caches:
+                    mask = x > 0
+                x = np.maximum(x, 0)
+        if keep_caches:
+            caches.append((layer, x_in, w, mask))
+    z = x - x.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return logp, caches
+
+
+def copying_forward(params, images):
+    """Reference class probabilities: every layer writes a new array."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logp, _ = _copying_run_layers(params, images, keep_caches=False)
+        return np.exp(logp)
+
+
+def copying_loss_and_gradients(params, images, labels):
+    """Reference loss and gradients: every step of forward and backward
+    writes a new array, the conv backward is scatter_conv_backward, and
+    non-finite results raise NumericError as nn.loss_and_gradients does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logp, caches = _copying_run_layers(params, images, keep_caches=True)
+        n = images.shape[0]
+        loss = float(-logp[np.arange(n), labels].sum(dtype=np.float64) / n)
+
+        d = np.exp(logp)
+        d[np.arange(n), labels] -= 1
+        d /= n
+
+        first_weighted = min(i for i, layer in enumerate(params.spec.layers) if layer.weight_shape)
+        flat_grads = []
+        for i in reversed(range(first_weighted, len(caches))):
+            layer, x, w, mask = caches[i]
+            if isinstance(layer, nn.MaxPool2x2):
+                d = nn._pool_backward(d, mask)
+            elif isinstance(layer, nn.Flatten):
+                d = d.reshape(x.shape)
+            else:
+                if mask is not None:
+                    d = d * mask
+                if isinstance(layer, nn.Conv2D):
+                    d, dw, db = scatter_conv_backward(d, x, w, layer.pad, input_grad=i > first_weighted)
+                else:
+                    dw = x.T @ d
+                    db = d.sum(axis=0)
+                    if i > first_weighted:
+                        d = d @ w.T
+                flat_grads += [db, dw.reshape(-1)]
+        flat_grads.reverse()
+
+        if not math.isfinite(loss):
+            raise nn.NumericError(-1, f"non-finite loss {loss}")
+        for i, g in enumerate(flat_grads):
+            if not np.isfinite(g).all():
+                raise nn.NumericError(i, f"non-finite gradient in parameter array {i}")
+        return loss, flat_grads
+
+
+def copying_sgd_step(params, batch, cfg):
+    """Reference SGD update: a - lr * g, with lr * g a new array."""
+    _, grads = copying_loss_and_gradients(params, batch.images, batch.labels)
+    lr = params.arrays[0].dtype.type(cfg.learning_rate)
+    return nn.ModelParams(params.spec, [a - lr * g for a, g in zip(params.arrays, grads)])
 
 
 def random_genome(bounds: Bounds, rng: np.random.Generator) -> Genome:

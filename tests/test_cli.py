@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import re
 import shutil
 from concurrent.futures import ProcessPoolExecutor
@@ -304,21 +305,27 @@ def test_report_names_missing_files(campaign_dir, capsys):
         moved.write_bytes(stash)
 
 
-def _non_numeric_f1(lines):
-    cells = lines[1].split(",")
-    cells[2] = "abc"
-    return [lines[0], ",".join(cells), *lines[2:]]
+def _first_row_cell(index, value):
+    """A corruption that sets one cell of the first data row."""
+    def corrupt(lines):
+        cells = lines[1].split(",")
+        cells[index] = value
+        return [lines[0], ",".join(cells), *lines[2:]]
+    return corrupt
 
 
 @pytest.mark.parametrize(
     "name, corrupt",
     [
-        ("pareto_run2.csv", _non_numeric_f1),
+        ("pareto_run2.csv", _first_row_cell(2, "abc")),
         ("hypervolume_run1.csv", lambda lines: [*lines, "4,0.5"]),
         # consistent as a CSV, but a 1-layer genome under a 4-layer manifest
         ("pareto_run1.csv", lambda lines: ["run,gen,f1,f2,m,E,mu_1,b_1", "1,3,0.5,0.5,4,10,0,32"]),
+        # numbers, but no fractions
+        ("pareto_run1.csv", _first_row_cell(3, "nan")),
+        ("pareto_run2.csv", _first_row_cell(2, "2.0")),
     ],
-    ids=["non-numeric-cell", "short-row", "wrong-layer-count"],
+    ids=["non-numeric-cell", "short-row", "wrong-layer-count", "nan-f2", "f1-above-one"],
 )
 def test_report_rejects_malformed_run_files(campaign_dir, tmp_path, capsys, name, corrupt):
     out = tmp_path / "campaign"
@@ -332,6 +339,10 @@ def test_report_rejects_malformed_run_files(campaign_dir, tmp_path, capsys, name
 
 
 def test_killed_campaign_keeps_finished_runs(fixture_mnist_dir, campaign_dir, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "killed"
+    # an older campaign in the same directory, whose run 2 must not survive
+    older = ("--pop", 8, "--generations", 3, "--runs", 2, "--seed", 1)
+    assert run_cli("optimize", "--mnist-dir", fixture_mnist_dir, "--out", out, *older) == 0
     real_run = cli.nsga2.run
     calls = []
 
@@ -342,7 +353,6 @@ def test_killed_campaign_keeps_finished_runs(fixture_mnist_dir, campaign_dir, tm
         return real_run(*args, **kwargs)
 
     monkeypatch.setattr(cli.nsga2, "run", run_then_die)
-    out = tmp_path / "killed"
     assert run_cli("optimize", "--mnist-dir", fixture_mnist_dir, "--out", out, *CAMPAIGN_FLAGS) == 3
     kept = ["campaign.json", "generations_run1.jsonl", "hypervolume_run1.csv", "pareto_run1.csv"]
     assert sorted(p.name for p in out.iterdir()) == kept
@@ -355,6 +365,12 @@ def test_killed_campaign_keeps_finished_runs(fixture_mnist_dir, campaign_dir, tm
     capsys.readouterr()
     assert run_cli("report", out) == 2
     assert "pareto_run2.csv" in capsys.readouterr().err
+
+
+def test_no_process_outlives_a_pooled_campaign(fixture_mnist_dir, tmp_path):
+    argv = ["optimize", "--mnist-dir", fixture_mnist_dir, "--out", tmp_path, "--pop", 4, "--generations", 1]
+    assert run_cli(*argv, "--runs", 1, "--workers", 2) == 0
+    assert multiprocessing.active_children() == []
 
 
 def test_campaign_deterministic_across_workers(fixture_mnist_dir, tmp_path):

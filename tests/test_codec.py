@@ -30,9 +30,15 @@ _TIE_HEAVY = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, np.inf, -np.
 
 @st.composite
 def _layers(draw):
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
-    width = np.dtype(dtype).itemsize * 8
-    elements = st.one_of(_TIE_HEAVY, st.floats(width=width))
+    # float16 and longdouble besides the model dtypes, since sparsify keys a
+    # float layer in its own dtype only where float64 holds it exactly; int8
+    # with its lowest value, whose magnitude overflows int8
+    dtype = draw(st.sampled_from([np.float16, np.float32, np.float64, np.longdouble, np.int8]))
+    if dtype == np.int8:
+        elements = st.one_of(st.sampled_from([-128, -127, 0, 1, 127]), st.integers(-128, 127))
+    else:
+        width = min(np.dtype(dtype).itemsize * 8, 64)
+        elements = st.one_of(_TIE_HEAVY, st.floats(width=width))
     return draw(hnp.arrays(dtype, st.integers(1, 5000), elements=elements))
 
 
@@ -51,6 +57,14 @@ def test_sparsify_conv_sized_layer_matches_stable_argsort():
     layer = np.round(rng.standard_normal(802816), 2).astype(np.float32)
     for mu in (1, 25, 50):
         assert np.array_equal(codec.sparsify(layer, mu), argsort_sparsify(layer, mu))
+
+
+def test_sparsify_ranks_longdouble_by_float64_magnitude():
+    # 1 + 2**-60 and 1 tie in float64, so the lower index is kept, as it was
+    # when every layer keyed in float64 (where longdouble is float64 they tie anyway)
+    layer = np.array([1.0, 1.0 + np.longdouble(2) ** -60], dtype=np.longdouble)
+    assert list(codec.sparsify(layer, 50)) == [0]
+    assert np.array_equal(codec.sparsify(layer, 50), argsort_sparsify(layer, 50))
 
 
 def test_sparsify_nan_ranks_last():

@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flcop import nn
 from flcop.data import LabeledDataset
-from conftest import fan_build_model, make_synthetic, tagged_cache_forward, tagged_cache_loss_and_gradients
+from conftest import (
+    copying_forward,
+    copying_loss_and_gradients,
+    copying_sgd_step,
+    fan_build_model,
+    make_synthetic,
+    scatter_conv_backward,
+    tagged_cache_forward,
+    tagged_cache_loss_and_gradients,
+)
 
 TOY_FC = nn.ModelSpec((6,), (nn.Dense(6, 5), nn.Dense(5, 3)))
 TOY_CONV = nn.ModelSpec(
@@ -234,3 +245,120 @@ def test_untrained_model_is_at_chance_on_random_labels():
         rng.random((2000, 784)).astype(np.float32), rng.integers(0, 10, 2000)
     )
     assert abs(nn.evaluate_accuracy(params, ds) - 0.1) < 0.05
+
+
+# the logits come out of a pool, through a Flatten, with no Dense layer
+CONV_LAST = nn.ModelSpec((4, 4, 1), (nn.Conv2D(3, 1, 2), nn.MaxPool2x2(), nn.Flatten()))
+STEP_SPECS = [nn.fully_connected(), TOY_FC, TOY_CONV, POOL_FIRST, FLATTEN_FIRST, SHARED_LAYER, CONV_LAST]
+
+
+def _with_signed_zeros(arr, rng, fraction):
+    """arr with a fraction of its entries set to +0.0 or -0.0."""
+    zeros = rng.random(arr.shape) < fraction
+    arr[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    return arr
+
+
+def _step_case(spec, dtype, batch, scale, seed):
+    """Parameters scaled by `scale`, images in [0, 1] and labels, each array
+    holding some signed zeros."""
+    rng = np.random.default_rng(seed)
+    params = nn.build_model(spec, seed, dtype=dtype)
+    for arr in params.arrays:
+        arr += rng.normal(0, 0.1, arr.size).astype(dtype)
+        arr *= dtype(scale)
+        _with_signed_zeros(arr, rng, 0.05)
+    images = _with_signed_zeros(rng.random((batch, spec.input_width)).astype(dtype), rng, 0.2)
+    labels = rng.integers(0, spec.param_shapes[-1], batch)
+    return params, images, labels
+
+
+def _outcome(fn, *args):
+    """fn's result, or the layer index of the NumericError it raised."""
+    try:
+        return fn(*args)
+    except nn.NumericError as exc:
+        return ("NumericError", exc.layer_index)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from(STEP_SPECS),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    # 16 rows is the last batch of a 2,000-example shard at batch 64
+    batch=st.one_of(st.sampled_from([1, 16, 64]), st.integers(1, 64)),
+    scale=st.sampled_from([1.0, 30.0, 1e4, 1e20]),
+    lr=st.sampled_from([0.0, 0.05, 0.1, 7.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_training_step_matches_copying_oracle(spec, dtype, batch, scale, lr, seed):
+    params, images, labels = _step_case(spec, dtype, batch, scale, seed)
+    assert nn.forward(params, images).tobytes() == copying_forward(params, images).tobytes()
+
+    got = _outcome(nn.loss_and_gradients, params, images, labels)
+    ref = _outcome(copying_loss_and_gradients, params, images, labels)
+    if isinstance(ref[0], str):
+        assert got == ref
+        return
+    assert got[0].hex() == ref[0].hex()
+    assert [(g.dtype, g.shape, g.tobytes()) for g in got[1]] == [(r.dtype, r.shape, r.tobytes()) for r in ref[1]]
+
+    batch_ds = LabeledDataset(images, labels)
+    stepped = nn.sgd_step(params, batch_ds, nn.TrainConfig(lr, batch))
+    reference = copying_sgd_step(params, batch_ds, nn.TrainConfig(lr, batch))
+    assert [(a.dtype, a.tobytes()) for a in stepped.arrays] == [(r.dtype, r.tobytes()) for r in reference.arrays]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kernel=st.sampled_from([1, 3, 5]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    batch=st.integers(1, 4),
+    # a window of one row or one column flattens without a copy
+    height=st.integers(1, 9),
+    width=st.integers(1, 9),
+    c_in=st.integers(1, 5),
+    c_out=st.integers(1, 5),
+    input_grad=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_conv_backward_matches_scatter_oracle(kernel, dtype, batch, height, width, c_in, c_out, input_grad, seed):
+    rng = np.random.default_rng(seed)
+    pad = (kernel - 1) // 2
+    x = _with_signed_zeros(rng.standard_normal((batch, height, width, c_in)).astype(dtype), rng, 0.2)
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    w = _with_signed_zeros(rng.standard_normal((kernel, kernel, c_in, c_out)).astype(dtype), rng, 0.2)
+    dout = _with_signed_zeros(rng.standard_normal((batch, height, width, c_out)).astype(dtype), rng, 0.2)
+    got = nn._conv_backward(dout, xp, w, pad, input_grad)
+    ref = scatter_conv_backward(dout, xp, w, pad, input_grad)
+    assert (got[0] is None) == (ref[0] is None) == (not input_grad)
+    for g, r in zip(got, ref):
+        if r is not None:
+            assert (g.dtype, g.shape, g.tobytes()) == (r.dtype, r.shape, r.tobytes())
+
+
+# (batch, size, kernel, c_in, c_out) of the convolutional model's layers, at
+# the sizes where the GEMMs leave their small-matrix paths
+@pytest.mark.parametrize("batch,size,kernel,c_in,c_out", [
+    (16, 28, 5, 32, 32), (64, 28, 5, 1, 32), (64, 14, 3, 32, 64), (16, 14, 3, 64, 64),
+])
+def test_conv_backward_matches_scatter_oracle_at_model_sizes(batch, size, kernel, c_in, c_out):
+    rng = np.random.default_rng(size * kernel + c_in)
+    pad = (kernel - 1) // 2
+    xp = np.pad(rng.standard_normal((batch, size, size, c_in), np.float32), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    w = rng.standard_normal((kernel, kernel, c_in, c_out), np.float32)
+    dout = rng.standard_normal((batch, size, size, c_out), np.float32)
+    got = nn._conv_backward(dout, xp, w, pad, True)
+    ref = scatter_conv_backward(dout, xp, w, pad, True)
+    assert [g.tobytes() for g in got] == [r.tobytes() for r in ref]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("spec", STEP_SPECS)
+def test_training_leaves_caller_arrays_unchanged(spec, dtype):
+    params, images, labels = _step_case(spec, dtype, 8, 1.0, 3)
+    before = [a.tobytes() for a in params.arrays], images.tobytes(), labels.tobytes()
+    nn.forward(params, images)
+    nn.loss_and_gradients(params, images, labels)
+    nn.sgd_step(params, LabeledDataset(images, labels), nn.TrainConfig(0.1, 8))
+    assert ([a.tobytes() for a in params.arrays], images.tobytes(), labels.tobytes()) == before

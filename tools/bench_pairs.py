@@ -11,8 +11,13 @@ first in even pairs and the change first in odd ones, each in its own tree
 with its own `perfbench/`. Every run must report "correct": true.
 
 The output maps workload to metric to {"parent", "change", "unit"}, each a
-median over the pairs of the end-to-end metrics. Every run's line is also
-printed to standard error as it finishes.
+median over the pairs of the end-to-end metrics, beside what a claim needs:
+"parent_quartiles" and "change_quartiles" (the first and third quartiles of
+each side's runs, inclusive method), "ratio" (the median over pairs of
+change / parent, null where a parent value is 0) and "change_wins" (the pairs
+where the change is strictly better in the metric's declared direction, out
+of "pairs"). Every run's line is also printed to standard error as it
+finishes.
 """
 
 from __future__ import annotations
@@ -52,6 +57,22 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: 
     return result
 
 
+def summarize(parent: list[float], change: list[float], better: str, unit: str) -> dict:
+    """Medians, quartiles, median pair ratio and win count of paired runs."""
+    sign = 1 if better == "higher" else -1
+    quartiles = [statistics.quantiles(side, n=4, method="inclusive") for side in (parent, change)]
+    return {
+        "parent": statistics.median(parent),
+        "change": statistics.median(change),
+        "unit": unit,
+        "parent_quartiles": [quartiles[0][0], quartiles[0][2]],
+        "change_quartiles": [quartiles[1][0], quartiles[1][2]],
+        "ratio": statistics.median(c / p for p, c in zip(parent, change)) if all(parent) else None,
+        "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+        "pairs": len(parent),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--number", type=int, required=True, help="n in the output name BENCH_<n>.json")
@@ -61,7 +82,7 @@ def main(argv=None) -> int:
     change = Path.cwd()
     declared = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in declared["workloads"]]
-    units = {m["name"]: m["unit"] for m in declared["end_to_end"]}
+    end_to_end = declared["end_to_end"]
 
     out = {}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -76,12 +97,13 @@ def main(argv=None) -> int:
                     values[side].append({name: m["value"] for name, m in result["metrics"].items()})
                     print(json.dumps({"workload": workload, "pair": k, "side": side, **result}), file=sys.stderr)
             out[workload] = {
-                name: {
-                    "parent": statistics.median(run[name] for run in values["parent"]),
-                    "change": statistics.median(run[name] for run in values["change"]),
-                    "unit": unit,
-                }
-                for name, unit in units.items()
+                m["name"]: summarize(
+                    [run[m["name"]] for run in values["parent"]],
+                    [run[m["name"]] for run in values["change"]],
+                    m["better"],
+                    m["unit"],
+                )
+                for m in end_to_end
             }
 
     path = change / f"BENCH_{args.number}.json"
