@@ -1,11 +1,16 @@
 """Command-line entry point: campaign runner, baseline runner, single-genome
 evaluator, and report regenerator.
 
-`optimize` maps one evaluation task in-process for --workers 1, else over one
-process pool per campaign whose workers read the data once. It deletes the
-files it is about to write, writes campaign.json first and each run's files
-as that run ends, then builds the merged outputs as `report` does, from
-those files.
+`optimize` evaluates each generation on one pool of --workers threads per
+campaign; the threads share the campaign's datasets and each run's
+environment. Its files are byte-identical for any worker count on one
+machine, but they follow OpenBLAS's thread count (the core count unless
+OPENBLAS_NUM_THREADS is set), which decides the low bits of the matmuls.
+More workers speed up only the conv model, whose time is spent in BLAS with
+the interpreter lock released, and only while workers x BLAS threads <=
+cores. It deletes the files it is about to write, writes campaign.json first
+and each run's files as that run ends, then builds the merged outputs as
+`report` does, from those files.
 
 Configuration precedence: explicit flags > config file (--config, JSON or
 key=value lines) > preset bundle (--preset) > built-in defaults. The built-in
@@ -21,7 +26,7 @@ import contextlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import data, metrics, nn, nsga2, objectives
@@ -251,42 +256,16 @@ def _build_env(options: dict, run_seed: int) -> EvalEnv:
     return _make_env(options, train, test, run_seed)
 
 
-# This process's share of the running campaign: options, datasets, and the
-# environment of the run seed it last evaluated for.
-_CAMPAIGN: dict = {}
+def _search(pool: ThreadPoolExecutor, env: EvalEnv, params: nsga2.SearchParams) -> nsga2.SearchResult:
+    """One run's search, each generation's genomes evaluated on the pool."""
 
+    def evaluate(genomes, generation):
+        def one(index, vector):
+            return evaluate_genome(Genome.from_vector(vector), env, generation, index).as_pair()
 
-def _start_campaign(options: dict, datasets=None) -> None:
-    """Hold a campaign's options and datasets in this process, loading the
-    datasets unless given; the pool's initializer, run once per worker."""
-    train, test = datasets or _load_datasets(options)
-    _CAMPAIGN.clear()
-    _CAMPAIGN.update(options=options, train=train, test=test, env=None)
+        return list(pool.map(one, range(len(genomes)), genomes))
 
-
-def _evaluate_task(task) -> tuple[float, float]:
-    """(f1, f2) of one genome; task is (run_seed, generation, index, vector)."""
-    run_seed, generation, index, vector = task
-    env = _CAMPAIGN["env"]
-    if env is None or env.seed != run_seed:
-        _CAMPAIGN["env"] = None  # free the last run's shards before building the next
-        env = _CAMPAIGN["env"] = _make_env(_CAMPAIGN["options"], _CAMPAIGN["train"], _CAMPAIGN["test"], run_seed)
-    return evaluate_genome(Genome.from_vector(vector), env, generation, index).as_pair()
-
-
-@contextlib.contextmanager
-def _task_map(options: dict, train, test):
-    """The map that runs evaluation tasks: the builtin map in this process
-    for one worker, else the map of one process pool for the whole campaign."""
-    if options["workers"] == 1:
-        _start_campaign(options, (train, test))
-        try:
-            yield map
-        finally:
-            _CAMPAIGN.clear()
-    else:
-        with ProcessPoolExecutor(options["workers"], initializer=_start_campaign, initargs=(options,)) as pool:
-            yield pool.map
+    return nsga2.run(evaluate, params, directions=(1, -1), hv_reference=metrics.HV_REFERENCE)
 
 
 def _campaign_manifest(options: dict, bounds: Bounds) -> dict:
@@ -342,7 +321,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         (out / name).unlink(missing_ok=True)
     metrics.write_json(out / "campaign.json", _campaign_manifest(options, bounds))
 
-    with _task_map(options, train, test) as map_tasks:
+    with ThreadPoolExecutor(options["workers"]) as pool:
         for run_id in range(1, options["runs"] + 1):
             run_seed = options["seed"] + run_id - 1
             params = nsga2.SearchParams(
@@ -351,12 +330,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                 bounds=tuple(bounds.coordinate_ranges()),
                 seed=run_seed,
             )
-
-            def evaluate(genomes, generation):
-                tasks = [(run_seed, generation, i, g) for i, g in enumerate(genomes)]
-                return list(map_tasks(_evaluate_task, tasks))
-
-            result = nsga2.run(evaluate, params, directions=(1, -1), hv_reference=metrics.HV_REFERENCE)
+            # the run's environment lives only inside the call, so its shards
+            # are freed before the next run builds its own
+            result = _search(pool, _make_env(options, train, test, run_seed), params)
             front = _front_points(result, run_id, options["generations"])
             pareto_name, hv_name, log_name = _run_files(run_id)
             metrics.write_pareto_csv(out / pareto_name, front, bounds.n_layers)
@@ -429,7 +405,8 @@ def _parse_genome_arg(text: str) -> Genome:
         vec = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"genome is not valid JSON: {exc}") from exc
-    if not isinstance(vec, list) or not all(isinstance(v, int) for v in vec):
+    # bool is an int subclass, but true is no gene
+    if not isinstance(vec, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in vec):
         raise ConfigError("genome must be a flat JSON array of integers")
     try:
         return Genome.from_vector(vec)

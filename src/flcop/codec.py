@@ -209,11 +209,14 @@ def encode_payload(payload: LayerPayload) -> bytes:
 
 
 def decode_payload(buf: bytes) -> LayerPayload:
-    """Inverse of encode_payload; raises PayloadCorruptionError on bad sizes
-    or on kept indices that do not strictly increase."""
+    """Inverse of encode_payload; raises PayloadCorruptionError on bad sizes,
+    a bit width outside [1, MAX_BITS], or kept indices that do not strictly
+    increase."""
     if len(buf) < 13:
         raise PayloadCorruptionError("payload shorter than its 13-byte header")
     bits, k, w_min, w_max = struct.unpack("<BIff", buf[:13])
+    if not 1 <= bits <= MAX_BITS:
+        raise PayloadCorruptionError(f"bits byte {bits} outside [1, {MAX_BITS}]")
     code_bytes = (k * bits + 7) // 8
     if len(buf) != 13 + code_bytes + 4 * k:
         raise PayloadCorruptionError(f"payload length {len(buf)} does not match header (k={k}, bits={bits})")

@@ -75,6 +75,8 @@ def _read_header(raw: bytes, path, n_dims: int, expected_magic: int) -> tuple[in
     fields = struct.unpack(f">{1 + n_dims}i", raw[:header_len])
     if fields[0] != expected_magic:
         raise IdxFormatError(f"{path}: bad magic {fields[0]}, expected {expected_magic}")
+    if min(fields[1:]) < 0:
+        raise IdxFormatError(f"{path}: negative dimension in header {fields[1:]}")
     return fields[1:]
 
 
@@ -82,9 +84,9 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     """Load an MNIST-style IDX image/label file pair.
 
     Pixels are scaled from byte value v to v / 255 and stored as float32.
-    Raises IdxFormatError on a bad magic number, IdxLengthError on a
-    truncated payload, and DataConsistencyError when the two files disagree
-    on the example count.
+    Raises IdxFormatError on a bad magic number or a negative dimension,
+    IdxLengthError on a truncated payload, and DataConsistencyError when the
+    two files disagree on the example count.
     """
     raw_images = Path(images_path).read_bytes()
     raw_labels = Path(labels_path).read_bytes()

@@ -2,7 +2,7 @@ import json
 import multiprocessing
 import re
 import shutil
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -79,6 +79,7 @@ def test_eval_rejects_invalid_genomes(fixture_mnist_dir, tmp_path, capsys):
         ("[4,1,0,0,0,0,0,0,0,0]", "b_1=0 outside [1, 32]"),
         ("not json", "not valid JSON"),
         ("[1,2,3]", "genome length must be even"),
+        ("[true,1,0,0,0,0,32,32,32,32]", "flat JSON array of integers"),
         (f"@{tmp_path / 'missing.json'}", "cannot read genome file"),
     ):
         assert run_cli("eval", genome, "--mnist-dir", fixture_mnist_dir) == 1
@@ -387,15 +388,15 @@ def test_campaign_deterministic_across_workers(fixture_mnist_dir, tmp_path):
     assert (tmp_path / "s4" / "generations_run1.jsonl").read_bytes() == run2
 
 
-def test_one_process_pool_per_campaign(fixture_mnist_dir, tmp_path, monkeypatch):
+def test_one_thread_pool_per_campaign(fixture_mnist_dir, tmp_path, monkeypatch):
     pools = []
 
-    class CountingPool(ProcessPoolExecutor):
+    class CountingPool(ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
     argv = [
         "optimize", "--mnist-dir", fixture_mnist_dir, "--out", tmp_path,
         "--pop", 4, "--generations", 1, "--runs", 3, "--seed", 2,
@@ -403,7 +404,7 @@ def test_one_process_pool_per_campaign(fixture_mnist_dir, tmp_path, monkeypatch)
     assert run_cli(*argv, "--workers", 2) == 0
     assert len(pools) == 1
     assert run_cli(*argv, "--workers", 1) == 0
-    assert len(pools) == 1  # the serial path maps in-process
+    assert len(pools) == 2  # one worker runs on a pool too
 
 
 def test_config_file_and_flag_precedence(fixture_mnist_dir, tmp_path):

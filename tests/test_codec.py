@@ -377,6 +377,15 @@ def test_wire_rejects_corrupt_buffers():
         codec.decode_payload(buf + b"\x00")
 
 
+@pytest.mark.parametrize("bits", [0, 33, 200, 255])
+def test_wire_rejects_bits_outside_range(bits):
+    # a buffer whose length matches its header, so only the bits byte is wrong
+    k = 3
+    buf = struct.pack("<BIff", bits, k, 0.0, 1.0) + bytes((k * bits + 7) // 8) + struct.pack("<3I", 0, 1, 1)
+    with pytest.raises(codec.PayloadCorruptionError, match="bits"):
+        codec.decode_payload(buf)
+
+
 def test_wire_rejects_repeated_indices():
     # indices [0, 0, 2] travel as deltas [0, 0, 2]; decoding them would
     # overwrite code 1 and leave position 1 at the fill

@@ -43,6 +43,15 @@ def test_wrong_geometry_rejected(tmp_path):
         data.load_idx(tmp_path / "imgs", tmp_path / "labs")
 
 
+@pytest.mark.parametrize("count, rows, cols, labels", [(-1, 28, 28, -1), (1, -28, -28, 1), (1, 28, 28, -1)])
+def test_negative_header_fields_rejected(tmp_path, count, rows, cols, labels):
+    # a count of -1 over ten images would otherwise load nine of them
+    (tmp_path / "imgs").write_bytes(struct.pack(">4i", data.IMAGE_MAGIC, count, rows, cols) + bytes(10 * 784))
+    (tmp_path / "labs").write_bytes(struct.pack(">2i", data.LABEL_MAGIC, labels) + bytes(10))
+    with pytest.raises(data.IdxFormatError, match="negative dimension"):
+        data.load_idx(tmp_path / "imgs", tmp_path / "labs")
+
+
 def test_pixels_scaled_to_unit_interval(tmp_path):
     ds = make_synthetic(20, 5)
     write_idx(ds, tmp_path / "imgs", tmp_path / "labs")

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,6 +248,37 @@ def test_untrained_model_is_at_chance_on_random_labels():
         rng.random((2000, 784)).astype(np.float32), rng.integers(0, 10, 2000)
     )
     assert abs(nn.evaluate_accuracy(params, ds) - 0.1) < 0.05
+
+
+def test_fc_results_do_not_depend_on_concurrent_threads():
+    # a campaign evaluates genomes on threads of one process; these are the
+    # batch-64 training and 256-row test shapes whose low bits follow the
+    # BLAS thread count, so running them side by side must not move them
+    spec = nn.fully_connected()
+    ds = make_synthetic(1024, 8)
+
+    def work(seed):
+        params = nn.build_model(spec, seed)
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(3):
+            rows = rng.choice(ds.count, 64, replace=False)
+            loss, grads = nn.loss_and_gradients(params, ds.images[rows], ds.labels[rows])
+            out += [float(loss).hex(), *(g.tobytes() for g in grads)]
+        out.append(nn.count_correct(params, ds))
+        out += [nn.forward(params, ds.images[s : s + 256]).tobytes() for s in range(0, ds.count, 256)]
+        return out
+
+    seeds = range(8)
+    serial = [work(seed) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(work, seeds, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 # the logits come out of a pool, through a Flatten, with no Dense layer
