@@ -8,9 +8,10 @@ machine, but they follow OpenBLAS's thread count (the core count unless
 OPENBLAS_NUM_THREADS is set), which decides the low bits of the matmuls.
 More workers speed up only the conv model, whose time is spent in BLAS with
 the interpreter lock released, and only while workers x BLAS threads <=
-cores. It deletes the files it is about to write, writes campaign.json first
-and each run's files as that run ends, then builds the merged outputs as
-`report` does, from those files.
+cores; an fc campaign with more than one worker notes this on stderr. It
+deletes the files it is about to write, writes campaign.json first and each
+run's files as that run ends, then builds the merged outputs as `report`
+does, from those files.
 
 Configuration precedence: explicit flags > config file (--config, JSON or
 key=value lines) > preset bundle (--preset) > built-in defaults. The built-in
@@ -308,6 +309,9 @@ MERGED_FILES = ("pareto_merged.csv", "genome_stats.csv", "summary.json")
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     options = resolve_options(args)
+    if options["model"] == "fc" and options["workers"] > 1:
+        # fc evaluation is mostly Python code, which the interpreter lock serialises
+        print(f"note: --workers {options['workers']} does not speed up fc evaluation; --workers 1 is as fast", file=sys.stderr)
     train, test = _load_datasets(options)
     spec = MODEL_SPECS[options["model"]]()
     bounds = BOUNDS_PRESETS[options["bounds"]](options["n_clients"], spec.n_arrays)
@@ -330,8 +334,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                 bounds=tuple(bounds.coordinate_ranges()),
                 seed=run_seed,
             )
-            # the run's environment lives only inside the call, so its shards
-            # are freed before the next run builds its own
+            # the run's environment lives only inside the call; its shards are
+            # index views onto `train`, so a run adds no copy of the rows
             result = _search(pool, _make_env(options, train, test, run_seed), params)
             front = _front_points(result, run_id, options["generations"])
             pareto_name, hv_name, log_name = _run_files(run_id)

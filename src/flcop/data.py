@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -10,6 +11,8 @@ import numpy as np
 
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
+# image rows decoded per chunk by load_idx, through a 784 KiB byte buffer
+DECODE_ROWS = 1024
 
 TRAIN_IMAGES = "train-images-idx3-ubyte"
 TRAIN_LABELS = "train-labels-idx1-ubyte"
@@ -39,33 +42,60 @@ class LabeledDataset:
     def __post_init__(self):
         if self.images.ndim != 2 or self.images.shape[0] != self.labels.shape[0]:
             raise ValueError("images and labels must have one row per example")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() > 9):
-            raise ValueError("labels must lie in [0, 9]")
+        _check_labels(self.labels)
         if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
             raise ValueError("pixels must lie in [0, 1]")
+
+    @classmethod
+    def _unchecked(cls, images: np.ndarray, labels: np.ndarray) -> "LabeledDataset":
+        """A dataset whose rows are known to be valid: the rows of a checked
+        dataset, or pixels decoded as v / 255. Skips __post_init__."""
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "images", images)
+        object.__setattr__(ds, "labels", labels)
+        return ds
 
     @property
     def count(self) -> int:
         return self.images.shape[0]
 
     def take(self, indices: np.ndarray) -> "LabeledDataset":
-        """The rows at a 1-D index array. Rows of a checked dataset need no
-        second check, so the subset skips __post_init__."""
-        subset = object.__new__(LabeledDataset)
-        object.__setattr__(subset, "images", self.images[indices])
-        object.__setattr__(subset, "labels", self.labels[indices])
-        return subset
+        """The rows at a 1-D index array, gathered into a new dataset."""
+        return LabeledDataset._unchecked(self.images[indices], self.labels[indices])
+
+
+@dataclass(frozen=True)
+class Shard:
+    """One client's examples as row indices into a dataset that every shard
+    of a partition shares. Rows are gathered only when a batch is taken."""
+
+    source: LabeledDataset
+    rows: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return self.rows.shape[0]
+
+    def take(self, positions: np.ndarray) -> LabeledDataset:
+        """The shard's examples at `positions`, in that order."""
+        return self.source.take(self.rows[positions])
 
 
 @dataclass(frozen=True)
 class ClientPartition:
-    """Disjoint shards of a dataset, one per client."""
+    """Disjoint shards of one dataset, one per client. Each shard is a
+    row-index view, so the partition holds no copy of the dataset's rows."""
 
-    shards: tuple[LabeledDataset, ...]
+    shards: tuple[Shard, ...]
 
     @property
     def n_clients(self) -> int:
         return len(self.shards)
+
+
+def _check_labels(labels: np.ndarray) -> None:
+    if labels.size and (labels.min() < 0 or labels.max() > 9):
+        raise ValueError("labels must lie in [0, 9]")
 
 
 def _read_header(raw: bytes, path, n_dims: int, expected_magic: int) -> tuple[int, ...]:
@@ -84,29 +114,41 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     """Load an MNIST-style IDX image/label file pair.
 
     Pixels are scaled from byte value v to v / 255 and stored as float32.
-    Raises IdxFormatError on a bad magic number or a negative dimension,
-    IdxLengthError on a truncated payload, and DataConsistencyError when the
-    two files disagree on the example count.
+    The image payload is decoded in chunks of DECODE_ROWS rows through one
+    reused byte buffer into the result, so the file's bytes are never held
+    whole. Bytes past the payload the header promises are ignored. Raises
+    IdxFormatError on a bad magic number, a negative dimension or images
+    that are not 28x28, IdxLengthError on a truncated payload,
+    DataConsistencyError when the two files disagree on the example count,
+    and ValueError on a label above 9.
     """
-    raw_images = Path(images_path).read_bytes()
-    raw_labels = Path(labels_path).read_bytes()
+    with open(images_path, "rb") as f:
+        count, rows, cols = _read_header(f.read(16), images_path, 3, IMAGE_MAGIC)
+        if (rows, cols) != (28, 28):
+            raise IdxFormatError(f"{images_path}: expected 28x28 images, got {rows}x{cols}")
+        payload = os.fstat(f.fileno()).st_size - 16
+        if payload < count * 784:
+            raise IdxLengthError(f"{images_path}: payload holds {payload} bytes, header promises {count * 784}")
 
-    count, rows, cols = _read_header(raw_images, images_path, 3, IMAGE_MAGIC)
-    if rows * cols != 784:
-        raise IdxFormatError(f"{images_path}: expected 28x28 images, got {rows}x{cols}")
-    pixels = np.frombuffer(raw_images, np.uint8, offset=16)
-    if pixels.size < count * 784:
-        raise IdxLengthError(f"{images_path}: payload holds {pixels.size} bytes, header promises {count * 784}")
+        raw_labels = Path(labels_path).read_bytes()
+        (label_count,) = _read_header(raw_labels, labels_path, 1, LABEL_MAGIC)
+        if label_count != count:
+            raise DataConsistencyError(f"{labels_path}: {label_count} labels for {count} images")
+        labels = np.frombuffer(raw_labels, np.uint8, offset=8)
+        if labels.size < count:
+            raise IdxLengthError(f"{labels_path}: payload holds {labels.size} labels, header promises {count}")
+        labels = labels[:count].astype(np.int64)
+        _check_labels(labels)
 
-    (label_count,) = _read_header(raw_labels, labels_path, 1, LABEL_MAGIC)
-    if label_count != count:
-        raise DataConsistencyError(f"{labels_path}: {label_count} labels for {count} images")
-    labels = np.frombuffer(raw_labels, np.uint8, offset=8)
-    if labels.size < count:
-        raise IdxLengthError(f"{labels_path}: payload holds {labels.size} labels, header promises {count}")
-
-    images = pixels[: count * 784].reshape(count, 784).astype(np.float32) / np.float32(255.0)
-    return LabeledDataset(images, labels[:count].astype(np.int64))
+        images = np.empty((count, 784), np.float32)
+        buf = np.empty((min(count, DECODE_ROWS), 784), np.uint8)
+        for start in range(0, count, DECODE_ROWS):
+            chunk = buf[: min(DECODE_ROWS, count - start)]
+            if f.readinto(chunk) != chunk.nbytes:
+                raise IdxLengthError(f"{images_path}: payload ended before the {count * 784} bytes its header promises")
+            # the float32 scalar and dtype pin a float32 loop, bit-equal to astype(float32) / float32(255)
+            np.divide(chunk, np.float32(255), out=images[start : start + chunk.shape[0]], dtype=np.float32)
+    return LabeledDataset._unchecked(images, labels)
 
 
 def load_mnist(mnist_dir) -> tuple[LabeledDataset, LabeledDataset]:
@@ -132,6 +174,8 @@ def partition(ds: LabeledDataset, n_clients: int, seed: int) -> ClientPartition:
 
     The examples are permuted under `seed` and split contiguously into
     floor(count / n) sized shards, the remainder going to the first shards.
+    Each shard holds its slice of the permutation as row indices into `ds`,
+    so no row is copied here.
     """
     if n_clients < 1:
         raise ValueError("n_clients must be at least 1")
@@ -143,6 +187,6 @@ def partition(ds: LabeledDataset, n_clients: int, seed: int) -> ClientPartition:
     shards = []
     start = 0
     for size in sizes:
-        shards.append(ds.take(order[start : start + size]))
+        shards.append(Shard(ds, order[start : start + size]))
         start += size
     return ClientPartition(tuple(shards))

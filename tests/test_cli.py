@@ -2,12 +2,13 @@ import json
 import multiprocessing
 import re
 import shutil
+import struct
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from flcop import cli, metrics
+from flcop import cli, data, metrics
 from flcop.codec import LayerCompressionSpec, payload_bits
 from flcop.objectives import Genome
 
@@ -90,6 +91,17 @@ def test_eval_checks_the_genome_before_loading_data(tmp_path, capsys):
     assert run_cli("eval", "[4,1,0,0,0,0,0,0,0,0]", "--mnist-dir", tmp_path / "nope") == 1
     assert "b_1=0 outside [1, 32]" in capsys.readouterr().err
     assert run_cli("eval", "[4,1,0,0,0,0,32,32,32,32]", "--mnist-dir", tmp_path / "nope") == 2
+
+
+def test_image_file_not_28_by_28_exits_2(fixture_mnist_dir, tmp_path, capsys):
+    for name in fixture_mnist_dir.iterdir():
+        shutil.copy(name, tmp_path / name.name)
+    images = tmp_path / data.TRAIN_IMAGES
+    raw = bytearray(images.read_bytes())
+    raw[8:16] = struct.pack(">2i", 784, 1)
+    images.write_bytes(bytes(raw))
+    assert run_cli("eval", "[4,1,0,0,0,0,32,32,32,32]", "--mnist-dir", tmp_path) == 2
+    assert "expected 28x28 images, got 784x1" in capsys.readouterr().err
 
 
 def test_eval_rejects_layer_sizes_below_one(capsys):
@@ -405,6 +417,17 @@ def test_one_thread_pool_per_campaign(fixture_mnist_dir, tmp_path, monkeypatch):
     assert len(pools) == 1
     assert run_cli(*argv, "--workers", 1) == 0
     assert len(pools) == 2  # one worker runs on a pool too
+
+
+@pytest.mark.parametrize("model, workers, noted", [("fc", 2, True), ("fc", 1, False), ("conv", 2, False)])
+def test_fc_campaign_notes_that_workers_do_not_help(fixture_mnist_dir, tmp_path, capsys, model, workers, noted):
+    argv = [
+        "optimize", "--mnist-dir", fixture_mnist_dir, "--out", tmp_path, "--model", model,
+        "--pop", 4, "--generations", 1, "--runs", 1, "--train-limit", 8, "--test-limit", 4, "--batch-size", 4,
+    ]
+    assert run_cli(*argv, "--workers", workers) == 0
+    notes = [line for line in capsys.readouterr().err.splitlines() if "does not speed up fc evaluation" in line]
+    assert len(notes) == int(noted)
 
 
 def test_config_file_and_flag_precedence(fixture_mnist_dir, tmp_path):

@@ -1,10 +1,12 @@
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from flcop import data
-from conftest import make_synthetic, write_idx
+from conftest import copying_partition, make_synthetic, write_idx
 
 
 def test_idx_round_trip(tmp_path):
@@ -22,10 +24,13 @@ def test_bad_magic_rejected(tmp_path):
         data.load_idx(tmp_path / "imgs", tmp_path / "labs")
 
 
-def test_truncated_payload_rejected(tmp_path):
-    (tmp_path / "imgs").write_bytes(struct.pack(">4i", data.IMAGE_MAGIC, 2, 28, 28) + bytes(784))
-    (tmp_path / "labs").write_bytes(struct.pack(">2i", data.LABEL_MAGIC, 2) + bytes(2))
-    with pytest.raises(data.IdxLengthError):
+@pytest.mark.parametrize("count, payload", [(2, 784), (23, 23 * 784 - 1)])
+def test_truncated_payload_rejected(tmp_path, monkeypatch, count, payload):
+    # with 7-row chunks, the second case ends one byte short inside the last chunk
+    monkeypatch.setattr(data, "DECODE_ROWS", 7)
+    (tmp_path / "imgs").write_bytes(struct.pack(">4i", data.IMAGE_MAGIC, count, 28, 28) + bytes(payload))
+    (tmp_path / "labs").write_bytes(struct.pack(">2i", data.LABEL_MAGIC, count) + bytes(count))
+    with pytest.raises(data.IdxLengthError, match=f"header promises {count * 784}"):
         data.load_idx(tmp_path / "imgs", tmp_path / "labs")
 
 
@@ -36,10 +41,12 @@ def test_count_mismatch_rejected(tmp_path):
         data.load_idx(tmp_path / "imgs", tmp_path / "labs")
 
 
-def test_wrong_geometry_rejected(tmp_path):
-    (tmp_path / "imgs").write_bytes(struct.pack(">4i", data.IMAGE_MAGIC, 1, 16, 16) + bytes(256))
+@pytest.mark.parametrize("rows, cols", [(16, 16), (784, 1), (1, 784), (16, 49)])
+def test_wrong_geometry_rejected(tmp_path, rows, cols):
+    # 784 pixels in another shape are not a 28x28 image either
+    (tmp_path / "imgs").write_bytes(struct.pack(">4i", data.IMAGE_MAGIC, 1, rows, cols) + bytes(rows * cols))
     (tmp_path / "labs").write_bytes(struct.pack(">2i", data.LABEL_MAGIC, 1) + bytes(1))
-    with pytest.raises(data.IdxFormatError):
+    with pytest.raises(data.IdxFormatError, match="28x28"):
         data.load_idx(tmp_path / "imgs", tmp_path / "labs")
 
 
@@ -58,6 +65,67 @@ def test_pixels_scaled_to_unit_interval(tmp_path):
     back = data.load_idx(tmp_path / "imgs", tmp_path / "labs")
     assert back.images.min() >= 0.0 and back.images.max() <= 1.0
     assert back.images.dtype == np.float32
+
+
+def _write_pixels(tmp_path, pixels: np.ndarray, count: int, trailing: bytes = b"") -> tuple:
+    """An IDX pair whose header promises `count` images over the given pixel bytes."""
+    images, labels = tmp_path / "imgs", tmp_path / "labs"
+    images.write_bytes(struct.pack(">4i", data.IMAGE_MAGIC, count, 28, 28) + pixels.tobytes() + trailing)
+    labels.write_bytes(struct.pack(">2i", data.LABEL_MAGIC, count) + bytes(k % 10 for k in range(count)))
+    return images, labels
+
+
+@pytest.mark.parametrize("count", [7, 23, 64])
+def test_decode_equals_float32_division_for_every_byte(tmp_path, monkeypatch, count):
+    # 7 rows per chunk: 7 is one whole chunk, 23 and 64 end in a partial one
+    monkeypatch.setattr(data, "DECODE_ROWS", 7)
+    pixels = (np.arange(count * 784) * 7 % 256).astype(np.uint8).reshape(count, 784)
+    assert set(np.unique(pixels)) == set(range(256))
+    images, labels = _write_pixels(tmp_path, pixels, count, trailing=b"\xff" * 1000)
+    back = data.load_idx(images, labels)
+    expected = pixels.astype(np.float32) / np.float32(255)
+    assert back.images.dtype == np.float32 and back.images.shape == (count, 784)
+    assert back.images.tobytes() == expected.tobytes()
+    assert np.array_equal(back.labels, np.arange(count) % 10)
+
+
+def test_payload_shrinking_while_read_rejected(tmp_path, monkeypatch):
+    # a file cut short after its size was read ends inside a later chunk
+    monkeypatch.setattr(data, "DECODE_ROWS", 7)
+    images, labels = _write_pixels(tmp_path, np.zeros((20, 784), np.uint8), 23)
+    real_fstat = data.os.fstat
+    monkeypatch.setattr(data.os, "fstat", lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 3 * 784))
+    with pytest.raises(data.IdxLengthError, match="payload ended"):
+        data.load_idx(images, labels)
+
+
+def test_label_above_nine_rejected(tmp_path):
+    images, labels = _write_pixels(tmp_path, np.zeros((2, 784), np.uint8), 2)
+    labels.write_bytes(struct.pack(">2i", data.LABEL_MAGIC, 2) + bytes([3, 10]))
+    with pytest.raises(ValueError, match="labels must lie in"):
+        data.load_idx(images, labels)
+
+
+@pytest.mark.parametrize("count", [3000, 6000])
+def test_load_holds_one_chunk_beside_the_result(tmp_path, count):
+    """Beyond the decoded arrays, loading allocates about one chunk buffer,
+    whatever the image count: the file's bytes are never held whole."""
+    pixels = (np.arange(count * 784) % 251).astype(np.uint8)
+    images, labels = _write_pixels(tmp_path, pixels, count)
+    tracemalloc.start()
+    try:
+        back = data.load_idx(images, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    extra = peak - back.images.nbytes - back.labels.nbytes
+    # the slack covers the label file's bytes and the interpreter's own small allocations
+    assert extra < data.DECODE_ROWS * 784 + 128 * 1024, extra
+
+
+def _rows(shard) -> data.LabeledDataset:
+    """Every example of a shard, read through its take."""
+    return shard.take(np.arange(shard.count))
 
 
 def _row_multiset(ds: data.LabeledDataset) -> set:
@@ -83,7 +151,7 @@ def test_partition_single_client_is_identity_content():
     ds = make_synthetic(10, 6)
     part = data.partition(ds, 1, seed=3)
     assert part.shards[0].count == 10
-    assert _row_multiset(part.shards[0]) == _row_multiset(ds)
+    assert _row_multiset(_rows(part.shards[0])) == _row_multiset(ds)
 
 
 def test_partition_is_bijection():
@@ -92,7 +160,7 @@ def test_partition_is_bijection():
     union = set()
     total = 0
     for shard in part.shards:
-        union |= _row_multiset(shard)
+        union |= _row_multiset(_rows(shard))
         total += shard.count
     assert total == ds.count
     assert union == _row_multiset(ds)
@@ -103,8 +171,35 @@ def test_partition_deterministic():
     a = data.partition(ds, 4, seed=5)
     b = data.partition(ds, 4, seed=5)
     for sa, sb in zip(a.shards, b.shards):
-        assert np.array_equal(sa.images, sb.images)
-        assert np.array_equal(sa.labels, sb.labels)
+        assert np.array_equal(_rows(sa).images, _rows(sb).images)
+        assert np.array_equal(_rows(sa).labels, _rows(sb).labels)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 11])
+def test_shard_batches_equal_copied_shards(seed):
+    ds = make_synthetic(203, 13)
+    views = data.partition(ds, 4, seed)
+    copies = copying_partition(ds, 4, seed)
+    rng = np.random.default_rng(seed)
+    for view, copy in zip(views.shards, copies.shards, strict=True):
+        assert view.count == copy.count
+        for positions in (np.arange(view.count), rng.permutation(view.count), rng.integers(0, view.count, 16)):
+            got, want = view.take(positions), copy.take(positions)
+            assert got.images.tobytes() == want.images.tobytes()
+            assert got.labels.tobytes() == want.labels.tobytes()
+
+
+def test_partition_copies_no_rows():
+    ds = make_synthetic(4000, 14)
+    tracemalloc.start()
+    try:
+        part = data.partition(ds, 4, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the permutation's int64 indices are all it allocates: 1/98 of the float32 rows
+    assert peak < ds.images.nbytes // 20, peak
+    assert all(shard.source is ds for shard in part.shards)
 
 
 def test_partition_too_many_clients():

@@ -6,7 +6,7 @@ import pytest
 from flcop import codec, federation, nn
 from flcop.codec import LayerCompressionSpec
 from flcop.data import partition
-from conftest import argsort_sparsify, float64_dequantize, make_synthetic, snap_loop_quantize
+from conftest import argsort_sparsify, copying_partition, float64_dequantize, make_synthetic, snap_loop_quantize
 
 TOY = nn.ModelSpec((784,), (nn.Dense(784, 8), nn.Dense(8, 10)))
 
@@ -132,6 +132,17 @@ def test_run_deterministic_and_trace_consistent():
     assert sum(r["uplink_bits"] for r in rows) == a.ledger.uplink_bits
     assert sum(r["downlink_bits"] for r in rows) == a.ledger.downlink_bits
     assert all(len(r["selected"]) == 2 for r in rows)
+
+
+@pytest.mark.parametrize("seed", [2, 8])
+def test_shard_views_train_as_copied_shards(seed):
+    train = make_synthetic(203, 21)
+    test = make_synthetic(64, 22)
+    cfg = _config(participants=3, interval=2, bits=6, drop=20)
+    views = federation.run_federated_training(cfg, partition(train, 4, seed), test, seed=seed)
+    copies = federation.run_federated_training(cfg, copying_partition(train, 4, seed), test, seed=seed)
+    assert [a.tobytes() for a in views.global_model.arrays] == [a.tobytes() for a in copies.global_model.arrays]
+    assert views.ledger == copies.ledger and views.n_correct == copies.n_correct
 
 
 def _reference_fedavg(cfg, part, test, seed):

@@ -16,8 +16,11 @@ median over the pairs of the end-to-end metrics, beside what a claim needs:
 each side's runs, inclusive method), "ratio" (the median over pairs of
 change / parent, null where a parent value is 0) and "change_wins" (the pairs
 where the change is strictly better in the metric's declared direction, out
-of "pairs"). Every run's line is also printed to standard error as it
-finishes.
+of "pairs"). After its pairs, each workload also runs TRACED_RUNS traced
+runs (--trace 1) per side, interleaved the same way, and the same map gains
+each per-layer metric of BENCHMARK.json as {"parent", "change", "unit",
+"traced_runs"}, the medians of those runs. Every run's line is also printed
+to standard error as it finishes.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 PAIRS = 10
+TRACED_RUNS = 3
 FIRST_SEED = 901
 
 
@@ -45,8 +49,8 @@ def export_tree(ref: str, dest: Path) -> None:
         tar.extractall(dest, **safe)
 
 
-def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
-    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int) -> dict:
+    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode or not lines:
@@ -55,6 +59,19 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: 
     if not result["correct"]:
         raise RuntimeError(f"{workload} seed {seed} in {tree} is not correct: {done.stderr.strip()}")
     return result
+
+
+def interleaved(trees: dict[str, Path], declared: dict, workload: str, pairs: int, trace: int) -> dict[str, list[dict]]:
+    """Each side's metric values over `pairs` runs, pair k at seed FIRST_SEED + k,
+    the parent first in even pairs and the change first in odd ones."""
+    values = {"parent": [], "change": []}
+    for k in range(pairs):
+        order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
+        for side in order:
+            result = run_once(trees[side], declared["command"], workload, FIRST_SEED + k, declared["run_seconds"], trace)
+            values[side].append({name: m["value"] for name, m in result["metrics"].items()})
+            print(json.dumps({"workload": workload, "pair": k, "side": side, "trace": trace, **result}), file=sys.stderr)
+    return values
 
 
 def summarize(parent: list[float], change: list[float], better: str, unit: str) -> dict:
@@ -88,14 +105,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent = Path(tmp)
         export_tree(args.parent, parent)
+        trees = {"parent": parent, "change": change}
         for workload in workloads:
-            values = {"parent": [], "change": []}
-            for k in range(PAIRS):
-                sides = [("parent", parent), ("change", change)]
-                for side, tree in sides if k % 2 == 0 else sides[::-1]:
-                    result = run_once(tree, declared["command"], workload, FIRST_SEED + k, declared["run_seconds"])
-                    values[side].append({name: m["value"] for name, m in result["metrics"].items()})
-                    print(json.dumps({"workload": workload, "pair": k, "side": side, **result}), file=sys.stderr)
+            values = interleaved(trees, declared, workload, PAIRS, 0)
             out[workload] = {
                 m["name"]: summarize(
                     [run[m["name"]] for run in values["parent"]],
@@ -105,6 +117,10 @@ def main(argv=None) -> int:
                 )
                 for m in end_to_end
             }
+            traced = interleaved(trees, declared, workload, TRACED_RUNS, 1)
+            for m in declared["per_layer"]:
+                medians = {side: statistics.median(run[m["name"]] for run in runs) for side, runs in traced.items()}
+                out[workload][m["name"]] = {**medians, "unit": m["unit"], "traced_runs": TRACED_RUNS}
 
     path = change / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n", encoding="utf-8")
