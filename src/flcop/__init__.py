@@ -9,7 +9,7 @@ global-model accuracy.
 
 from .codec import LayerCompressionSpec, LayerPayload, dequantize, payload_bits, quantize, sparsify
 from .data import ClientPartition, LabeledDataset, load_idx, load_mnist, partition
-from .federation import CommLedger, FLOutcome, FLRunConfig, aggregate, run_federated_training
+from .federation import CommLedger, FLOutcome, aggregate, run_federated_training
 from .metrics import ParetoPoint, hypervolume, merge_pseudo_optimal
 from .nn import ModelParams, ModelSpec, TrainConfig, build_model, convolutional, evaluate_accuracy, forward, fully_connected, sgd_step
 from .objectives import Bounds, EvalEnv, Genome, ObjectiveVector, comm_fraction, evaluate_genome
@@ -22,7 +22,6 @@ __all__ = [
     "CommLedger",
     "EvalEnv",
     "FLOutcome",
-    "FLRunConfig",
     "Genome",
     "LabeledDataset",
     "LayerCompressionSpec",

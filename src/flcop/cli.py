@@ -457,7 +457,10 @@ def report(out: Path) -> int:
         raise DataError(f"missing {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        runs = int(manifest["runs"])
+        runs = manifest["runs"]
+        # bool is an int subclass, but true is no run count
+        if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
+            raise ValueError(f"runs must be an integer of at least 1, got {runs!r}")
         bounds = Bounds(
             n_clients=int(manifest["n_clients"]),
             n_layers=int(manifest["n_layers"]),

@@ -117,10 +117,9 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     The image payload is decoded in chunks of DECODE_ROWS rows through one
     reused byte buffer into the result, so the file's bytes are never held
     whole. Bytes past the payload the header promises are ignored. Raises
-    IdxFormatError on a bad magic number, a negative dimension or images
-    that are not 28x28, IdxLengthError on a truncated payload,
-    DataConsistencyError when the two files disagree on the example count,
-    and ValueError on a label above 9.
+    IdxFormatError on a bad magic number, a negative dimension, images that
+    are not 28x28 or a label above 9, IdxLengthError on a truncated payload,
+    and DataConsistencyError when the two files disagree on the example count.
     """
     with open(images_path, "rb") as f:
         count, rows, cols = _read_header(f.read(16), images_path, 3, IMAGE_MAGIC)
@@ -138,7 +137,8 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
         if labels.size < count:
             raise IdxLengthError(f"{labels_path}: payload holds {labels.size} labels, header promises {count}")
         labels = labels[:count].astype(np.int64)
-        _check_labels(labels)
+        if labels.max(initial=0) > 9:
+            raise IdxFormatError(f"{labels_path}: labels must lie in [0, 9], got {labels.max()}")
 
         images = np.empty((count, 784), np.float32)
         buf = np.empty((min(count, DECODE_ROWS), 784), np.uint8)

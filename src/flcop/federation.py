@@ -1,47 +1,30 @@
 """FedAvg simulation with compressed uploads and an exact communication ledger.
 
-Each round the server broadcasts the full-precision global model to the
-selected clients, every selected client trains locally for the round's step
-quota, encodes each parameter array with its per-layer compression spec, and
-uploads the payload. The server reconstructs the arrays (positions dropped by
-sparsification keep the current global value) and averages them.
+A run is described by a genome and an evaluation environment:
+`run_federated_training(genome, env, seed)` reads the participant count, the
+communication interval and each parameter array's drop percent and bit width
+from the genome, and the model spec, client partition, test set, training
+config, epoch count and initial-model seed from the env. Each round the
+server broadcasts the full-precision global model to the selected clients,
+every selected client trains locally for the round's step quota, encodes each
+parameter array with its drop percent and bit width, and uploads the payload.
+The server reconstructs the arrays (positions dropped by sparsification keep
+the current global value) and averages them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .codec import LayerCompressionSpec, dequantize, quantize, sparsify
-from .data import ClientPartition, LabeledDataset
-from .nn import ModelParams, ModelSpec, NumericError, TrainConfig, build_model, count_correct, sgd_step
+from .codec import MAX_BITS, MAX_DROP_PERCENT, dequantize, quantize, sparsify
+from .nn import ModelParams, NumericError, build_model, count_correct, sgd_step
 
-
-@dataclass(frozen=True)
-class FLRunConfig:
-    """One simulated federated run: protocol knobs plus per-layer compression."""
-
-    model_spec: ModelSpec
-    n_clients: int
-    participants: int
-    interval: int
-    layer_specs: tuple[LayerCompressionSpec, ...]
-    train: TrainConfig = TrainConfig()
-    epochs: int = 1
-    init_seed: int = 0
-
-    def __post_init__(self):
-        if not 1 <= self.participants <= self.n_clients:
-            raise ValueError("participants must lie in [1, n_clients]")
-        if self.interval < 1:
-            raise ValueError("interval must be at least 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if len(self.layer_specs) != self.model_spec.n_arrays:
-            raise ValueError("one compression spec per parameter array required")
+if TYPE_CHECKING:  # objectives imports this module, so its types are named for checkers only
+    from .objectives import EvalEnv, Genome
 
 
 @dataclass
@@ -112,50 +95,64 @@ class _BatchStream:
 
 
 def run_federated_training(
-    cfg: FLRunConfig,
-    part: ClientPartition,
-    test: LabeledDataset,
+    genome: Genome,
+    env: EvalEnv,
     seed,
     trace: Callable[[dict], None] | None = None,
     trace_accuracy: bool = False,
 ) -> FLOutcome:
-    """Simulate the full protocol for ceil(batches_per_epoch * epochs / interval) rounds.
+    """Simulate the run the genome describes in the env's setting, for
+    ceil(batches_per_epoch * epochs / interval) rounds.
 
     The local-iteration budget per client is one epoch over its shard times
-    `epochs`; the final round is shortened so the budget is met exactly.
-    Deterministic given (cfg, part, seed). Raises NumericError when training
-    or a local model about to be uploaded holds non-finite values.
+    `env.epochs`; the final round is shortened so the budget is met exactly.
+    Deterministic given (genome, env, seed). Raises ValueError, before any
+    training, on a genome or env that describes no run, and NumericError
+    when training or a local model about to be uploaded holds non-finite
+    values.
     """
-    if part.n_clients != cfg.n_clients:
-        raise ValueError("partition size does not match n_clients")
+    part, test, spec, train = env.partition, env.test, env.spec, env.train
+    n_clients = part.n_clients
+    if not 1 <= genome.participants <= n_clients:
+        raise ValueError(f"participants must lie in [1, {n_clients}], got {genome.participants}")
+    if genome.interval < 1:
+        raise ValueError(f"interval must be at least 1, got {genome.interval}")
+    if env.epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {env.epochs}")
+    if genome.n_layers != spec.n_arrays:
+        raise ValueError(f"genome has genes for {genome.n_layers} parameter arrays, the model has {spec.n_arrays}")
+    for i, (bits, drop) in enumerate(zip(genome.bit_widths, genome.drop_percents)):
+        if not 1 <= bits <= MAX_BITS:
+            raise ValueError(f"bit width of array {i} must lie in [1, {MAX_BITS}], got {bits}")
+        if not 0 <= drop <= MAX_DROP_PERCENT:
+            raise ValueError(f"drop percent of array {i} must lie in [0, {MAX_DROP_PERCENT}], got {drop}")
     if any(s.count == 0 for s in part.shards):
         raise ValueError("every client shard must be non-empty")
     if test.count == 0:
         raise ValueError("test set must be non-empty")
 
-    spec = cfg.model_spec
     sizes = spec.param_shapes
     theta = 32 * spec.total_params
-    batches_per_epoch = math.ceil(max(s.count for s in part.shards) / cfg.train.batch_size)
-    total_iters = batches_per_epoch * cfg.epochs
-    rounds = math.ceil(total_iters / cfg.interval)
+    batches_per_epoch = math.ceil(max(s.count for s in part.shards) / train.batch_size)
+    total_iters = batches_per_epoch * env.epochs
+    rounds = math.ceil(total_iters / genome.interval)
 
     root = np.random.SeedSequence(seed)
     select_seq, batch_seq = root.spawn(2)
     select_rng = np.random.default_rng(select_seq)
     streams = [
-        _BatchStream(part.shards[k].count, cfg.train.batch_size, np.random.default_rng(s))
-        for k, s in enumerate(batch_seq.spawn(cfg.n_clients))
+        _BatchStream(part.shards[k].count, train.batch_size, np.random.default_rng(s))
+        for k, s in enumerate(batch_seq.spawn(n_clients))
     ]
 
-    global_model = build_model(spec, cfg.init_seed)
+    global_model = build_model(spec, env.init_seed)
     dtype = global_model.arrays[0].dtype
-    ledger = CommLedger(rounds_executed=rounds, baseline_bits=total_iters * cfg.n_clients * theta)
+    ledger = CommLedger(rounds_executed=rounds, baseline_bits=total_iters * n_clients * theta)
 
     for t in range(1, rounds + 1):
-        selected = select_clients(cfg.n_clients, cfg.participants, select_rng)
-        ledger.downlink_bits += cfg.participants * theta
-        steps = min(cfg.interval, total_iters - (t - 1) * cfg.interval)
+        selected = select_clients(n_clients, genome.participants, select_rng)
+        ledger.downlink_bits += genome.participants * theta
+        steps = min(genome.interval, total_iters - (t - 1) * genome.interval)
 
         decoded = []
         round_up = 0
@@ -163,15 +160,14 @@ def run_federated_training(
             shard = part.shards[k]
             local = global_model
             for _ in range(steps):
-                local = sgd_step(local, shard.take(streams[k].next_batch()), cfg.train)
+                local = sgd_step(local, shard.take(streams[k].next_batch()), train)
             arrays = []
             for i, arr in enumerate(local.arrays):
                 # sparsify would silently drop a NaN, so check before encoding
                 if not np.isfinite(arr).all():
                     raise NumericError(i, f"non-finite values in parameter array {i} before upload")
-                layer_spec = cfg.layer_specs[i]
-                kept = sparsify(arr, layer_spec.drop_percent)
-                payload = quantize(arr, kept, layer_spec.bits)
+                kept = sparsify(arr, genome.drop_percents[i])
+                payload = quantize(arr, kept, genome.bit_widths[i])
                 round_up += payload.codes.size * payload.bits + 64
                 arrays.append(dequantize(payload, sizes[i], fill=global_model.arrays[i], dtype=dtype))
             decoded.append(ModelParams(spec, arrays))
@@ -183,7 +179,7 @@ def run_federated_training(
                 "round": t,
                 "selected": [int(k) for k in selected],
                 "uplink_bits": round_up,
-                "downlink_bits": cfg.participants * theta,
+                "downlink_bits": genome.participants * theta,
             }
             if trace_accuracy:
                 row["global_accuracy"] = count_correct(global_model, test) / test.count

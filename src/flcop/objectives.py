@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codec import MAX_BITS, MAX_DROP_PERCENT, LayerCompressionSpec
+from .codec import MAX_BITS, MAX_DROP_PERCENT
 from .data import ClientPartition, LabeledDataset
-from .federation import FLRunConfig, run_federated_training
+from .federation import run_federated_training
 from .nn import ModelSpec, NumericError, TrainConfig
 
 
@@ -123,7 +123,10 @@ def comm_fraction(genome: Genome, layer_sizes, n_clients: int) -> tuple[float, f
 
 @dataclass
 class EvalEnv:
-    """Everything a genome evaluation needs besides the genome itself.
+    """The whole setting of a federated run besides the genome: the model,
+    the client partition, the test set, the training config, the epoch count
+    and the initial-model seed. Together with a genome it describes the run
+    that `run_federated_training(genome, env, seed)` simulates.
 
     Per-evaluation randomness is derived from (seed, generation, index), so
     results do not depend on how evaluations are scheduled across workers.
@@ -142,22 +145,6 @@ class EvalEnv:
         return self.partition.n_clients
 
 
-def build_run_config(genome: Genome, env: EvalEnv) -> FLRunConfig:
-    """Decode a genome into the federated-run configuration it describes."""
-    return FLRunConfig(
-        model_spec=env.spec,
-        n_clients=env.n_clients,
-        participants=genome.participants,
-        interval=genome.interval,
-        layer_specs=tuple(
-            LayerCompressionSpec(b, mu) for b, mu in zip(genome.bit_widths, genome.drop_percents)
-        ),
-        train=env.train,
-        epochs=env.epochs,
-        init_seed=env.init_seed,
-    )
-
-
 def simulate_genome(
     genome: Genome,
     env: EvalEnv,
@@ -172,11 +159,9 @@ def simulate_genome(
     is marked failed with accuracy 0, a diagnostic note, and no outcome.
     """
     alpha, beta, f1 = comm_fraction(genome, env.spec.param_shapes, env.n_clients)
-    cfg = build_run_config(genome, env)
     try:
         outcome = run_federated_training(
-            cfg, env.partition, env.test, [env.seed, generation, index],
-            trace=trace, trace_accuracy=trace_accuracy,
+            genome, env, [env.seed, generation, index], trace=trace, trace_accuracy=trace_accuracy
         )
     except NumericError as exc:
         vector = ObjectiveVector(

@@ -104,6 +104,18 @@ def test_image_file_not_28_by_28_exits_2(fixture_mnist_dir, tmp_path, capsys):
     assert "expected 28x28 images, got 784x1" in capsys.readouterr().err
 
 
+def test_label_above_nine_exits_2(fixture_mnist_dir, tmp_path, capsys):
+    for name in fixture_mnist_dir.iterdir():
+        shutil.copy(name, tmp_path / name.name)
+    labels = tmp_path / data.TRAIN_LABELS
+    raw = bytearray(labels.read_bytes())
+    raw[8] = 12
+    labels.write_bytes(bytes(raw))
+    assert run_cli("eval", "[4,1,0,0,0,0,32,32,32,32]", "--mnist-dir", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert str(labels) in err and "labels must lie in [0, 9], got 12" in err
+
+
 def test_eval_rejects_layer_sizes_below_one(capsys):
     for sizes in ("0,0", "-5,10"):
         assert run_cli("eval", "[4,1,0,0,32,32]", f"--layer-sizes={sizes}") == 1
@@ -304,6 +316,19 @@ def test_report_rebuilds_deleted_outputs(campaign_dir, tmp_path):
     assert run_cli("report", out) == 0
     assert {name: (out / name).read_bytes() for name in regenerated} == before
     assert _campaign_bytes(out) == _campaign_bytes(campaign_dir)
+
+
+@pytest.mark.parametrize("runs", [-3, 0, True, 1.5, "2", None])
+def test_report_rejects_bad_run_count(campaign_dir, tmp_path, capsys, runs):
+    out = tmp_path / "campaign"
+    shutil.copytree(campaign_dir, out)
+    manifest = json.loads((out / "campaign.json").read_text())
+    manifest["runs"] = runs
+    metrics.write_json(out / "campaign.json", manifest)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run_cli("report", out) == 2
+    assert "runs must be an integer of at least 1" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_report_names_missing_files(campaign_dir, capsys):

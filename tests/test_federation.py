@@ -6,16 +6,20 @@ import pytest
 from flcop import codec, federation, nn
 from flcop.codec import LayerCompressionSpec
 from flcop.data import partition
+from flcop.objectives import EvalEnv, Genome
 from conftest import argsort_sparsify, copying_partition, float64_dequantize, make_synthetic, snap_loop_quantize
 
 TOY = nn.ModelSpec((784,), (nn.Dense(784, 8), nn.Dense(8, 10)))
 
 
-def _config(n_clients=4, participants=4, interval=1, bits=32, drop=0, epochs=1, batch=32, lr=0.1):
-    specs = tuple(LayerCompressionSpec(bits, drop) for _ in range(TOY.n_arrays))
-    return federation.FLRunConfig(
-        TOY, n_clients, participants, interval, specs, nn.TrainConfig(lr, batch), epochs
-    )
+def _run(part, test, participants=4, interval=1, bits=32, drop=0, epochs=1, batch=32, lr=0.1):
+    """The (genome, env) of a TOY run with one bit width and drop percent on every array."""
+    genome = Genome(participants, interval, (drop,) * TOY.n_arrays, (bits,) * TOY.n_arrays)
+    return genome, EvalEnv(TOY, part, test, nn.TrainConfig(lr, batch), epochs, seed=0)
+
+
+def _layer_specs(genome: Genome) -> list[LayerCompressionSpec]:
+    return [LayerCompressionSpec(b, mu) for b, mu in zip(genome.bit_widths, genome.drop_percents)]
 
 
 def test_select_clients_full_participation():
@@ -77,14 +81,14 @@ def test_run_ledger_exactness_and_round_count():
     train = make_synthetic(256, 0)
     test = make_synthetic(64, 1)
     part = partition(train, 4, seed=2)
-    cfg = _config(participants=3, interval=2, bits=9, drop=35)
-    outcome = federation.run_federated_training(cfg, part, test, seed=5)
+    genome, env = _run(part, test, participants=3, interval=2, bits=9, drop=35)
+    outcome = federation.run_federated_training(genome, env, seed=5)
     ledger = outcome.ledger
 
     batches = math.ceil(64 / 32)
     rounds = math.ceil(batches / 2)
     theta = 32 * TOY.total_params
-    per_model = codec.payload_bits(cfg.layer_specs, TOY.param_shapes)
+    per_model = codec.payload_bits(_layer_specs(genome), TOY.param_shapes)
     assert ledger.rounds_executed == rounds
     assert ledger.downlink_bits == rounds * 3 * theta
     assert ledger.uplink_bits == rounds * 3 * per_model
@@ -96,8 +100,7 @@ def test_run_single_round_when_interval_covers_epoch():
     train = make_synthetic(128, 3)
     test = make_synthetic(32, 4)
     part = partition(train, 4, seed=0)
-    cfg = _config(interval=100)
-    outcome = federation.run_federated_training(cfg, part, test, seed=1)
+    outcome = federation.run_federated_training(*_run(part, test, interval=100), seed=1)
     assert outcome.ledger.rounds_executed == 1
 
 
@@ -105,9 +108,9 @@ def test_interval_beyond_budget_trains_exactly_one_epoch():
     train = make_synthetic(128, 5)
     test = make_synthetic(32, 6)
     part = partition(train, 4, seed=0)
-    exact = federation.run_federated_training(_config(interval=1, batch=8), part, test, seed=9)
-    one_shot = federation.run_federated_training(_config(interval=4, batch=8), part, test, seed=9)
-    huge = federation.run_federated_training(_config(interval=1000, batch=8), part, test, seed=9)
+    exact = federation.run_federated_training(*_run(part, test, interval=1, batch=8), seed=9)
+    one_shot = federation.run_federated_training(*_run(part, test, interval=4, batch=8), seed=9)
+    huge = federation.run_federated_training(*_run(part, test, interval=1000, batch=8), seed=9)
     # local budget is min(interval, remaining), so both single-round runs coincide
     assert one_shot.ledger.rounds_executed == huge.ledger.rounds_executed == 1
     assert one_shot.accuracy == huge.accuracy
@@ -122,10 +125,10 @@ def test_run_deterministic_and_trace_consistent():
     train = make_synthetic(200, 7)
     test = make_synthetic(40, 8)
     part = partition(train, 4, seed=1)
-    cfg = _config(participants=2, interval=2, bits=6, drop=20)
+    genome, env = _run(part, test, participants=2, interval=2, bits=6, drop=20)
     rows = []
-    a = federation.run_federated_training(cfg, part, test, seed=3, trace=rows.append)
-    b = federation.run_federated_training(cfg, part, test, seed=3)
+    a = federation.run_federated_training(genome, env, seed=3, trace=rows.append)
+    b = federation.run_federated_training(genome, env, seed=3)
     assert a.accuracy == b.accuracy
     assert all(np.array_equal(x, y) for x, y in zip(a.global_model.arrays, b.global_model.arrays))
     assert len(rows) == a.ledger.rounds_executed
@@ -138,29 +141,30 @@ def test_run_deterministic_and_trace_consistent():
 def test_shard_views_train_as_copied_shards(seed):
     train = make_synthetic(203, 21)
     test = make_synthetic(64, 22)
-    cfg = _config(participants=3, interval=2, bits=6, drop=20)
-    views = federation.run_federated_training(cfg, partition(train, 4, seed), test, seed=seed)
-    copies = federation.run_federated_training(cfg, copying_partition(train, 4, seed), test, seed=seed)
+    settings = dict(participants=3, interval=2, bits=6, drop=20)
+    views = federation.run_federated_training(*_run(partition(train, 4, seed), test, **settings), seed=seed)
+    copies = federation.run_federated_training(*_run(copying_partition(train, 4, seed), test, **settings), seed=seed)
     assert [a.tobytes() for a in views.global_model.arrays] == [a.tobytes() for a in copies.global_model.arrays]
     assert views.ledger == copies.ledger and views.n_correct == copies.n_correct
 
 
-def _reference_fedavg(cfg, part, test, seed):
+def _reference_fedavg(genome, env, seed):
     """No-codec FedAvg mirror of the simulator's seeding and batch order."""
+    part, train = env.partition, env.train
     root = np.random.SeedSequence(seed)
     select_seq, batch_seq = root.spawn(2)
     select_rng = np.random.default_rng(select_seq)
-    client_rngs = [np.random.default_rng(s) for s in batch_seq.spawn(cfg.n_clients)]
+    client_rngs = [np.random.default_rng(s) for s in batch_seq.spawn(part.n_clients)]
     orders = [rng.permutation(part.shards[k].count) for k, rng in enumerate(client_rngs)]
-    pos = [0] * cfg.n_clients
+    pos = [0] * part.n_clients
 
-    batches = math.ceil(max(s.count for s in part.shards) / cfg.train.batch_size)
-    total = batches * cfg.epochs
-    rounds = math.ceil(total / cfg.interval)
-    global_model = nn.build_model(cfg.model_spec, cfg.init_seed)
+    batches = math.ceil(max(s.count for s in part.shards) / train.batch_size)
+    total = batches * env.epochs
+    rounds = math.ceil(total / genome.interval)
+    global_model = nn.build_model(env.spec, env.init_seed)
     for t in range(1, rounds + 1):
-        selected = np.sort(select_rng.choice(cfg.n_clients, cfg.participants, replace=False))
-        steps = min(cfg.interval, total - (t - 1) * cfg.interval)
+        selected = np.sort(select_rng.choice(part.n_clients, genome.participants, replace=False))
+        steps = min(genome.interval, total - (t - 1) * genome.interval)
         local_models = []
         for k in selected:
             local = global_model
@@ -168,9 +172,9 @@ def _reference_fedavg(cfg, part, test, seed):
                 if pos[k] >= part.shards[k].count:
                     orders[k] = client_rngs[k].permutation(part.shards[k].count)
                     pos[k] = 0
-                idx = orders[k][pos[k] : pos[k] + cfg.train.batch_size]
-                pos[k] += cfg.train.batch_size
-                local = nn.sgd_step(local, part.shards[k].take(idx), cfg.train)
+                idx = orders[k][pos[k] : pos[k] + train.batch_size]
+                pos[k] += train.batch_size
+                local = nn.sgd_step(local, part.shards[k].take(idx), train)
             local_models.append(local)
         global_model = federation.aggregate(local_models)
     return global_model
@@ -180,9 +184,9 @@ def test_full_precision_upload_matches_reference_fedavg():
     train = make_synthetic(256, 9)
     test = make_synthetic(64, 10)
     part = partition(train, 4, seed=4)
-    cfg = _config(participants=3, interval=2, bits=32, drop=0)
-    outcome = federation.run_federated_training(cfg, part, test, seed=17)
-    reference = _reference_fedavg(cfg, part, test, seed=17)
+    genome, env = _run(part, test, participants=3, interval=2, bits=32, drop=0)
+    outcome = federation.run_federated_training(genome, env, seed=17)
+    reference = _reference_fedavg(genome, env, seed=17)
     for got, want in zip(outcome.global_model.arrays, reference.arrays):
         scale = max(1e-12, float(np.abs(want).max()))
         assert np.abs(got.astype(np.float64) - want.astype(np.float64)).max() / scale < 1e-6
@@ -193,38 +197,68 @@ def test_dropped_positions_keep_global_value():
     train = make_synthetic(64, 11)
     test = make_synthetic(16, 12)
     part = partition(train, 1, seed=5)
-    cfg = federation.FLRunConfig(
-        TOY, 1, 1, 100,
-        tuple(LayerCompressionSpec(32, 50) for _ in range(TOY.n_arrays)),
-        nn.TrainConfig(0.1, 32), 1,
-    )
-    outcome = federation.run_federated_training(cfg, part, test, seed=21)
+    genome, env = _run(part, test, participants=1, interval=100, bits=32, drop=50)
+    outcome = federation.run_federated_training(genome, env, seed=21)
     assert outcome.ledger.rounds_executed == 1
-    start = nn.build_model(TOY, cfg.init_seed)
-    reference = _reference_fedavg(cfg, part, test, seed=21)
+    start = nn.build_model(TOY, env.init_seed)
+    reference = _reference_fedavg(genome, env, seed=21)
     for got, w0, local in zip(outcome.global_model.arrays, start.arrays, reference.arrays):
         kept = codec.sparsify(local, 50)
         dropped = np.setdiff1d(np.arange(local.size), kept)
         assert np.array_equal(got[dropped], w0[dropped])
 
 
-def test_run_rejects_bad_inputs():
+def _no_training(params, batch, cfg):
+    raise AssertionError("sgd_step ran before the run was rejected")
+
+
+def test_run_rejects_bad_inputs(monkeypatch):
+    monkeypatch.setattr(federation, "sgd_step", _no_training)
     train = make_synthetic(64, 13)
     part = partition(train, 4, seed=6)
     empty = make_synthetic(16, 14).take(np.array([], np.int64))
-    with pytest.raises(ValueError):
-        federation.run_federated_training(_config(), part, empty, seed=0)
-    with pytest.raises(ValueError):
-        federation.FLRunConfig(TOY, 4, 5, 1, tuple(LayerCompressionSpec(8, 0) for _ in range(4)), nn.TrainConfig(), 1)
+    with pytest.raises(ValueError, match="test set"):
+        federation.run_federated_training(*_run(part, empty), seed=0)
+
+
+@pytest.mark.parametrize(
+    "settings, genes, match",
+    [
+        (dict(participants=0), None, "participants"),
+        (dict(participants=5), None, "participants"),
+        (dict(interval=0), None, "interval"),
+        (dict(epochs=0), None, "epochs"),
+        ({}, ((0,) * 3, (32,) * 3), "genes for 3 parameter arrays"),
+        ({}, ((0,) * 5, (32,) * 5), "genes for 5 parameter arrays"),
+        (dict(bits=0), None, "bit width"),
+        (dict(bits=33), None, "bit width"),
+        ({}, ((0, 0, 0, 0), (8, 8, 40, 8)), "bit width of array 2"),
+        (dict(drop=-1), None, "drop percent"),
+        (dict(drop=51), None, "drop percent"),
+        ({}, ((0, 60, 0, 0), (8, 8, 8, 8)), "drop percent of array 1"),
+    ],
+    ids=[
+        "participants-0", "participants-5", "interval-0", "epochs-0", "3-arrays", "5-arrays",
+        "bits-0", "bits-33", "array-2-bits-40", "drop-minus-1", "drop-51", "array-1-drop-60",
+    ],
+)
+def test_run_rejects_bad_settings_before_training(monkeypatch, settings, genes, match):
+    monkeypatch.setattr(federation, "sgd_step", _no_training)
+    train = make_synthetic(64, 13)
+    genome, env = _run(partition(train, 4, seed=6), train, **settings)
+    if genes is not None:
+        genome = Genome(genome.participants, genome.interval, *genes)
+    with pytest.raises(ValueError, match=match):
+        federation.run_federated_training(genome, env, seed=0)
 
 
 def _lossy_fc_run(bits=(8, 16, 8, 16)):
     """Genome [2,1,50,10,25,0,*bits] on the fc model over a tiny partition."""
     train = make_synthetic(256, 15)
     test = make_synthetic(64, 16)
-    specs = tuple(LayerCompressionSpec(b, mu) for b, mu in zip(bits, (50, 10, 25, 0)))
-    cfg = federation.FLRunConfig(nn.fully_connected(), 4, 2, 1, specs, nn.TrainConfig(0.1, 32))
-    return federation.run_federated_training(cfg, partition(train, 4, seed=8), test, seed=17)
+    genome = Genome(2, 1, (50, 10, 25, 0), bits)
+    env = EvalEnv(nn.fully_connected(), partition(train, 4, seed=8), test, nn.TrainConfig(0.1, 32), 1, seed=0)
+    return federation.run_federated_training(genome, env, seed=17)
 
 
 def test_threshold_sparsify_run_matches_argsort_oracle(monkeypatch):
@@ -261,5 +295,5 @@ def test_non_finite_local_model_raises_before_upload(monkeypatch, value):
     train = make_synthetic(64, 18)
     # at drop 50 a NaN is never kept, so only the check before encoding sees it
     with pytest.raises(nn.NumericError) as info:
-        federation.run_federated_training(_config(drop=50), partition(train, 4, seed=9), train, seed=0)
+        federation.run_federated_training(*_run(partition(train, 4, seed=9), train, drop=50), seed=0)
     assert info.value.layer_index == 1

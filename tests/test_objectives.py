@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flcop import federation, nn, objectives
-from flcop.codec import MAX_BITS, MAX_DROP_PERCENT, payload_bits
+from flcop.codec import MAX_BITS, MAX_DROP_PERCENT, LayerCompressionSpec, payload_bits
 from flcop.data import partition
 from flcop.federation import run_federated_training
 from flcop.objectives import Bounds, EvalEnv, Genome, comm_fraction
@@ -178,13 +178,16 @@ def ledger_cases(draw, divisors_only=True):
     return batch, budget, genome
 
 
+def _layer_specs(genome: Genome) -> list[LayerCompressionSpec]:
+    return [LayerCompressionSpec(b, mu) for b, mu in zip(genome.bit_widths, genome.drop_percents)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(ledger_cases())
 def test_ledger_agrees_with_closed_form(case):
     batch, total_iters, g = case
     env = EvalEnv(nn.fully_connected(), LEDGER_TRAIN, LEDGER_TEST, nn.TrainConfig(0.1, batch), 1, seed=9)
-    cfg = objectives.build_run_config(g, env)
-    outcome = run_federated_training(cfg, LEDGER_TRAIN, LEDGER_TEST, seed=1)
+    outcome = run_federated_training(g, env, seed=1)
     sizes = env.spec.param_shapes
     theta = 32 * sum(sizes)
     alpha, beta, _ = comm_fraction(g, sizes, 4)
@@ -198,7 +201,7 @@ def test_ledger_agrees_with_closed_form(case):
     modelled = beta * (total_iters * 4 * theta)
     actual = outcome.ledger.uplink_bits - rounds * m * extrema
     assert abs(actual - modelled) <= rounds * m * len(sizes) * 32
-    assert outcome.ledger.uplink_bits == rounds * m * payload_bits(cfg.layer_specs, sizes)
+    assert outcome.ledger.uplink_bits == rounds * m * payload_bits(_layer_specs(g), sizes)
 
 
 @settings(max_examples=40, deadline=None)
@@ -207,15 +210,14 @@ def test_ledger_runs_ceil_rounds_for_every_interval(case):
     # f1 charges m * T / E rounds of downloads; the run executes ceil(T / E)
     batch, total_iters, g = case
     env = EvalEnv(nn.fully_connected(), LEDGER_TRAIN, LEDGER_TEST, nn.TrainConfig(0.1, batch), 1, seed=9)
-    cfg = objectives.build_run_config(g, env)
-    outcome = run_federated_training(cfg, LEDGER_TRAIN, LEDGER_TEST, seed=1)
+    outcome = run_federated_training(g, env, seed=1)
     sizes = env.spec.param_shapes
     theta = 32 * sum(sizes)
     rounds = math.ceil(total_iters / g.interval)
     m = g.participants
     assert outcome.ledger.rounds_executed == rounds
     assert outcome.ledger.downlink_bits == m * rounds * theta
-    assert outcome.ledger.uplink_bits == rounds * m * payload_bits(cfg.layer_specs, sizes)
+    assert outcome.ledger.uplink_bits == rounds * m * payload_bits(_layer_specs(g), sizes)
 
 
 def test_simulate_genome_returns_outcome(tiny_env):
