@@ -7,12 +7,12 @@ NSGA-II to produce Pareto fronts trading communication volume against
 global-model accuracy.
 """
 
-from .codec import LayerCompressionSpec, LayerPayload, dequantize, payload_bits, quantize, sparsify
+from .codec import LayerPayload, dequantize, quantize, sparsify
 from .data import ClientPartition, LabeledDataset, load_idx, load_mnist, partition
 from .federation import CommLedger, FLOutcome, aggregate, run_federated_training
 from .metrics import ParetoPoint, hypervolume, merge_pseudo_optimal
-from .nn import ModelParams, ModelSpec, TrainConfig, build_model, convolutional, evaluate_accuracy, forward, fully_connected, sgd_step
-from .objectives import Bounds, EvalEnv, Genome, ObjectiveVector, comm_fraction, evaluate_genome
+from .nn import ModelParams, ModelSpec, TrainConfig, build_model, convolutional, forward, fully_connected, sgd_step
+from .objectives import Bounds, EvalEnv, Genome, ObjectiveVector, comm_fraction, simulate_genome
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,6 @@ __all__ = [
     "FLOutcome",
     "Genome",
     "LabeledDataset",
-    "LayerCompressionSpec",
     "LayerPayload",
     "ModelParams",
     "ModelSpec",
@@ -36,8 +35,6 @@ __all__ = [
     "comm_fraction",
     "convolutional",
     "dequantize",
-    "evaluate_accuracy",
-    "evaluate_genome",
     "forward",
     "fully_connected",
     "hypervolume",
@@ -45,9 +42,9 @@ __all__ = [
     "load_mnist",
     "merge_pseudo_optimal",
     "partition",
-    "payload_bits",
     "quantize",
     "run_federated_training",
     "sgd_step",
+    "simulate_genome",
     "sparsify",
 ]

@@ -32,7 +32,7 @@ from pathlib import Path
 
 from . import data, metrics, nn, nsga2, objectives
 from .nn import TrainConfig
-from .objectives import BOUNDS_PRESETS, Bounds, EvalEnv, Genome, comm_fraction, evaluate_genome
+from .objectives import BOUNDS_PRESETS, Bounds, EvalEnv, Genome, comm_fraction
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -252,17 +252,15 @@ def _make_env(options: dict, train, test, run_seed: int) -> EvalEnv:
     )
 
 
-def _build_env(options: dict, run_seed: int) -> EvalEnv:
-    train, test = _load_datasets(options)
-    return _make_env(options, train, test, run_seed)
-
-
 def _search(pool: ThreadPoolExecutor, env: EvalEnv, params: nsga2.SearchParams) -> nsga2.SearchResult:
     """One run's search, each generation's genomes evaluated on the pool."""
 
     def evaluate(genomes, generation):
-        def one(index, vector):
-            return evaluate_genome(Genome.from_vector(vector), env, generation, index).as_pair()
+        def one(index, genes):
+            # looked up on the module at each call, so a wrapper set on
+            # objectives.simulate_genome (the perfbench tracer's) sees every evaluation
+            vector, _ = objectives.simulate_genome(Genome.from_vector(genes), env, generation, index)
+            return vector.as_pair()
 
         return list(pool.map(one, range(len(genomes)), genomes))
 
@@ -314,7 +312,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         print(f"note: --workers {options['workers']} does not speed up fc evaluation; --workers 1 is as fast", file=sys.stderr)
     train, test = _load_datasets(options)
     spec = MODEL_SPECS[options["model"]]()
-    bounds = BOUNDS_PRESETS[options["bounds"]](options["n_clients"], spec.n_arrays)
+    bounds = Bounds(options["n_clients"], spec.n_arrays, BOUNDS_PRESETS[options["bounds"]])
     out = Path(options["out"])
     out.mkdir(parents=True, exist_ok=True)
     # an older campaign's files must not pass for this one's if it is killed
@@ -390,7 +388,7 @@ def _simulate_payload(genome: Genome, env: EvalEnv, args: argparse.Namespace) ->
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     options = resolve_options(args)
-    env = _build_env(options, options["seed"])
+    env = _make_env(options, *_load_datasets(options), options["seed"])
     payload = _simulate_payload(brute_force_genome(env.n_clients, env.spec.n_arrays), env, args)
     out = Path(options["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -432,7 +430,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         sizes = MODEL_SPECS[options["model"]]().param_shapes
     try:
-        genome.validate(BOUNDS_PRESETS[options["bounds"]](options["n_clients"], len(sizes)))
+        genome.validate(Bounds(options["n_clients"], len(sizes), BOUNDS_PRESETS[options["bounds"]]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -444,7 +442,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "ledger": None,
         }
     else:
-        payload = _simulate_payload(genome, _build_env(options, options["seed"]), args)
+        payload = _simulate_payload(genome, _make_env(options, *_load_datasets(options), options["seed"]), args)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -457,15 +455,13 @@ def report(out: Path) -> int:
         raise DataError(f"missing {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        for key in ("runs", "n_clients", "n_layers", "interval_max"):
+            value = manifest[key]
+            # bool is an int subclass, but true is no count
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{key} must be an integer of at least 1, got {value!r}")
         runs = manifest["runs"]
-        # bool is an int subclass, but true is no run count
-        if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
-            raise ValueError(f"runs must be an integer of at least 1, got {runs!r}")
-        bounds = Bounds(
-            n_clients=int(manifest["n_clients"]),
-            n_layers=int(manifest["n_layers"]),
-            interval_max=int(manifest["interval_max"]),
-        )
+        bounds = Bounds(manifest["n_clients"], manifest["n_layers"], manifest["interval_max"])
     except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{manifest_path} is not a campaign manifest: {type(exc).__name__}: {exc}") from exc
     missing = []

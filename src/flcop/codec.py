@@ -1,5 +1,5 @@
 """Per-layer lossy compression: top-magnitude sparsification plus b-bit
-min/max quantisation, with exact bit accounting and a binary wire layout."""
+min/max quantisation, and a binary wire layout."""
 
 from __future__ import annotations
 
@@ -15,20 +15,6 @@ MAX_BITS = 32  # quantisation codes are 1 to MAX_BITS bits wide
 
 class PayloadCorruptionError(ValueError):
     """Decoded payload is internally inconsistent with its layer."""
-
-
-@dataclass(frozen=True)
-class LayerCompressionSpec:
-    """Bit width and drop percentage for one parameter array."""
-
-    bits: int
-    drop_percent: int
-
-    def __post_init__(self):
-        if not 1 <= self.bits <= MAX_BITS:
-            raise ValueError(f"bits must lie in [1, {MAX_BITS}], got {self.bits}")
-        if not 0 <= self.drop_percent <= MAX_DROP_PERCENT:
-            raise ValueError(f"drop_percent must lie in [0, {MAX_DROP_PERCENT}], got {self.drop_percent}")
 
 
 @dataclass
@@ -184,14 +170,6 @@ def dequantize(payload: LayerPayload, n: int, fill=0.0, dtype=np.float64) -> np.
     out = np.full(n, fill, dtype) if np.ndim(fill) == 0 else np.array(fill, dtype)
     out[idx] = rec
     return out
-
-
-def payload_bits(specs, layer_sizes) -> int:
-    """Total uplink bits for one model: sum of kept * bits plus 64 per layer
-    for the two 32-bit extrema. Index overhead is deliberately not counted."""
-    if len(specs) != len(layer_sizes):
-        raise ValueError("one compression spec per layer required")
-    return sum(kept_count(n, s.drop_percent) * s.bits + 64 for s, n in zip(specs, layer_sizes))
 
 
 def encode_payload(payload: LayerPayload) -> bytes:

@@ -50,9 +50,8 @@ class FLOutcome:
 
 
 def select_clients(n_clients: int, participants: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample of `participants` distinct client indices, sorted."""
-    if not 1 <= participants <= n_clients:
-        raise ValueError("participants must lie in [1, n_clients]")
+    """Uniform sample of `participants` distinct client indices, sorted.
+    More participants than clients raises ValueError."""
     return np.sort(rng.choice(n_clients, size=participants, replace=False))
 
 

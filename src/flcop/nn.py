@@ -17,6 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
+# test images per forward pass in count_correct; the chunk sets the matmul
+# shapes, and so the low bits of the predictions
+EVAL_CHUNK = 256
+
 
 class NumericError(ArithmeticError):
     """Non-finite loss or gradient; carries the offending parameter-array index."""
@@ -324,17 +328,11 @@ def sgd_step(params: ModelParams, batch, cfg: TrainConfig) -> ModelParams:
     )
 
 
-def count_correct(params: ModelParams, ds, chunk: int = 256) -> int:
-    """Number of argmax-correct predictions over the dataset."""
+def count_correct(params: ModelParams, ds) -> int:
+    """Number of argmax-correct predictions over the dataset, EVAL_CHUNK
+    images per forward pass."""
     correct = 0
-    for start in range(0, ds.count, chunk):
-        probs = forward(params, ds.images[start : start + chunk])
-        correct += int((probs.argmax(axis=1) == ds.labels[start : start + chunk]).sum())
+    for start in range(0, ds.count, EVAL_CHUNK):
+        probs = forward(params, ds.images[start : start + EVAL_CHUNK])
+        correct += int((probs.argmax(axis=1) == ds.labels[start : start + EVAL_CHUNK]).sum())
     return correct
-
-
-def evaluate_accuracy(params: ModelParams, ds) -> float:
-    """Fraction of correct predictions, in [0, 1]."""
-    if ds.count < 1:
-        raise ValueError("dataset must be non-empty")
-    return count_correct(params, ds) / ds.count

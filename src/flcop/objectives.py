@@ -24,10 +24,6 @@ class Bounds:
     n_layers: int
     interval_max: int = 1000
 
-    @property
-    def dimension(self) -> int:
-        return 2 * self.n_layers + 2
-
     def coordinate_ranges(self) -> list[tuple[int, int]]:
         return (
             [(1, self.n_clients), (1, self.interval_max)]
@@ -43,12 +39,9 @@ class Bounds:
         )
 
 
-def mutation_narrow_bounds(n_clients: int, n_layers: int) -> Bounds:
-    """Narrower interval range exposed as a preset rather than silently chosen."""
-    return Bounds(n_clients, n_layers, interval_max=100)
-
-
-BOUNDS_PRESETS = {"default": Bounds, "mutation-narrow": mutation_narrow_bounds}
+# each bounds preset's interval_max; "mutation-narrow" is a narrower interval
+# range exposed as a preset rather than silently chosen
+BOUNDS_PRESETS = {"default": 1000, "mutation-narrow": 100}
 
 
 @dataclass(frozen=True)
@@ -153,7 +146,8 @@ def simulate_genome(
     trace=None,
     trace_accuracy: bool = False,
 ):
-    """Simulate one genome; returns (ObjectiveVector, FLOutcome or None).
+    """Simulate one genome; returns (ObjectiveVector, FLOutcome or None),
+    deterministic given (env.seed, generation, index).
 
     A numeric failure during training does not abort the search: the result
     is marked failed with accuracy 0, a diagnostic note, and no outcome.
@@ -171,9 +165,3 @@ def simulate_genome(
         return vector, None
     vector = ObjectiveVector(f1, outcome.accuracy, alpha, beta, outcome.n_correct, env.test.count)
     return vector, outcome
-
-
-def evaluate_genome(genome: Genome, env: EvalEnv, generation: int = 0, index: int = 0) -> ObjectiveVector:
-    """Both objectives for one genome, deterministic given (env.seed, generation, index)."""
-    vector, _ = simulate_genome(genome, env, generation, index)
-    return vector

@@ -1,6 +1,7 @@
 import math
 import os
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,35 @@ def snap_loop_quantize(layer, kept, bits: int) -> codec.LayerPayload:
             err = np.where(better, cand_err, err)
         codes = codes.astype(np.uint32)
     return codec.LayerPayload(kept, codes, float(lo), float(hi), bits)
+
+
+@dataclass(frozen=True)
+class LayerCompressionSpec:
+    """Reference bit width and drop percentage of one parameter array, each
+    checked against the codec's range."""
+
+    bits: int
+    drop_percent: int
+
+    def __post_init__(self):
+        if not 1 <= self.bits <= codec.MAX_BITS:
+            raise ValueError(f"bits must lie in [1, {codec.MAX_BITS}], got {self.bits}")
+        if not 0 <= self.drop_percent <= codec.MAX_DROP_PERCENT:
+            raise ValueError(f"drop_percent must lie in [0, {codec.MAX_DROP_PERCENT}], got {self.drop_percent}")
+
+
+def layer_specs(genome: Genome) -> list[LayerCompressionSpec]:
+    """One LayerCompressionSpec per parameter array of the genome."""
+    return [LayerCompressionSpec(b, mu) for b, mu in zip(genome.bit_widths, genome.drop_percents)]
+
+
+def payload_bits(specs, layer_sizes) -> int:
+    """Reference uplink bits for one model: sum of kept * bits plus 64 per
+    layer for the two 32-bit extrema. Index overhead is deliberately not
+    counted."""
+    if len(specs) != len(layer_sizes):
+        raise ValueError("one compression spec per layer required")
+    return sum(codec.kept_count(n, s.drop_percent) * s.bits + 64 for s, n in zip(specs, layer_sizes))
 
 
 def float64_dequantize(payload: codec.LayerPayload, n: int, fill=0.0) -> np.ndarray:
@@ -169,6 +199,14 @@ def resort_replacement(parents, offspring, directions):
             survivors[i].rank = rank
             survivors[i].crowding = dist
     return survivors
+
+
+def evaluate_accuracy(params: nn.ModelParams, ds) -> float:
+    """Reference accuracy: the fraction of correct predictions, in [0, 1].
+    An empty dataset raises ValueError."""
+    if ds.count < 1:
+        raise ValueError("dataset must be non-empty")
+    return nn.count_correct(params, ds) / ds.count
 
 
 def fan_build_model(spec: nn.ModelSpec, seed: int, dtype=np.float32) -> nn.ModelParams:

@@ -13,7 +13,7 @@ import pytest
 
 from flcop import cli, codec, metrics, nn, nsga2
 from flcop.objectives import Bounds, Genome, comm_fraction
-from conftest import find_mnist_dir, random_genome, requires_mnist
+from conftest import LayerCompressionSpec, find_mnist_dir, payload_bits, random_genome, requires_mnist
 from test_nn import TOY_CONV, TOY_FC, _finite_difference_check
 
 
@@ -69,7 +69,7 @@ def test_criterion_2_codec_bound_and_wire_layout():
         assert err <= bound + slack
 
         k = kept.size
-        assert codec.payload_bits([codec.LayerCompressionSpec(bits, mu)], [n]) == k * bits + 64
+        assert payload_bits([LayerCompressionSpec(bits, mu)], [n]) == k * bits + 64
         buf = codec.encode_payload(payload)
         # 13-byte header (1 for the width, 4 for the count, 8 = 64 bits of extrema),
         # then ceil(k * bits / 8) code bytes and 4 bytes per kept index

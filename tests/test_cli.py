@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from flcop import cli, data, metrics
-from flcop.codec import LayerCompressionSpec, payload_bits
+from flcop import cli, data, metrics, objectives
 from flcop.objectives import Genome
+from conftest import LayerCompressionSpec, payload_bits
 
 
 def run_cli(*argv):
@@ -318,16 +318,19 @@ def test_report_rebuilds_deleted_outputs(campaign_dir, tmp_path):
     assert _campaign_bytes(out) == _campaign_bytes(campaign_dir)
 
 
-@pytest.mark.parametrize("runs", [-3, 0, True, 1.5, "2", None])
-def test_report_rejects_bad_run_count(campaign_dir, tmp_path, capsys, runs):
+@pytest.mark.parametrize("value", [-3, -2, 0, True, 1.5, 4.9, "2", "1000", None])
+@pytest.mark.parametrize("key", ["runs", "n_clients", "n_layers", "interval_max"])
+def test_report_rejects_bad_run_count(campaign_dir, tmp_path, capsys, key, value):
     out = tmp_path / "campaign"
     shutil.copytree(campaign_dir, out)
     manifest = json.loads((out / "campaign.json").read_text())
-    manifest["runs"] = runs
+    manifest[key] = value
     metrics.write_json(out / "campaign.json", manifest)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert run_cli("report", out) == 2
-    assert "runs must be an integer of at least 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{key} must be an integer of at least 1" in err
+    assert "campaign.json" in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -403,6 +406,26 @@ def test_killed_campaign_keeps_finished_runs(fixture_mnist_dir, campaign_dir, tm
     capsys.readouterr()
     assert run_cli("report", out) == 2
     assert "pareto_run2.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_optimize_evaluates_through_simulate_genome(fixture_mnist_dir, tmp_path, monkeypatch, workers):
+    # the benchmark's tracer counts evaluations by wrapping this module
+    # attribute, so the search must look it up there on every call
+    real = objectives.simulate_genome
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(objectives, "simulate_genome", counting)
+    argv = [
+        "optimize", "--mnist-dir", fixture_mnist_dir, "--out", tmp_path,
+        "--pop", 4, "--generations", 1, "--runs", 1, "--workers", workers,
+    ]
+    assert run_cli(*argv) == 0
+    assert len(calls) == 8
 
 
 def test_no_process_outlives_a_pooled_campaign(fixture_mnist_dir, tmp_path):

