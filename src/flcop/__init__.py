@@ -8,7 +8,7 @@ global-model accuracy.
 """
 
 from .codec import LayerPayload, dequantize, quantize, sparsify
-from .data import ClientPartition, LabeledDataset, load_idx, load_mnist, partition
+from .data import LabeledDataset, load_idx, load_mnist, partition
 from .federation import CommLedger, FLOutcome, aggregate, run_federated_training
 from .metrics import ParetoPoint, hypervolume, merge_pseudo_optimal
 from .nn import ModelParams, ModelSpec, TrainConfig, build_model, convolutional, forward, fully_connected, sgd_step
@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bounds",
-    "ClientPartition",
     "CommLedger",
     "EvalEnv",
     "FLOutcome",

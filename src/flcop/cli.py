@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -228,10 +229,14 @@ def _mnist_dir(options: dict) -> Path:
 
 
 def _load_datasets(options: dict):
+    mnist_dir = _mnist_dir(options)
     try:
-        train, test = data.load_mnist(_mnist_dir(options))
+        train, test = data.load_mnist(mnist_dir)
     except (data.IdxFormatError, data.IdxLengthError, data.DataConsistencyError, FileNotFoundError) as exc:
         raise DataError(str(exc)) from exc
+    for ds, name in ((train, data.TRAIN_IMAGES), (test, data.TEST_IMAGES)):
+        if ds.count == 0:
+            raise DataError(f"{mnist_dir / name} holds no examples")
     train = data.subsample(train, options["train_limit"], options["seed"])
     test = data.subsample(test, options["test_limit"], options["seed"])
     if options["n_clients"] > train.count:
@@ -358,12 +363,18 @@ def brute_force_genome(n_clients: int, n_layers: int) -> Genome:
 
 
 def _simulate_payload(genome: Genome, env: EvalEnv, args: argparse.Namespace) -> dict:
-    """Simulate one genome, one JSON line per round to --trace if given, and
+    """Simulate one genome, one JSON line per round to --trace if given (with
+    the round's global-model test accuracy under --trace-accuracy), and
     return the {genome, objectives, ledger} payload."""
     trace_file = open(args.trace, "w", encoding="utf-8", newline="\n") if args.trace else contextlib.nullcontext()
     with trace_file as handle:
-        trace = (lambda row: handle.write(json.dumps(row) + "\n")) if handle else None
-        vector, outcome = objectives.simulate_genome(genome, env, trace=trace, trace_accuracy=args.trace_accuracy)
+
+        def trace(row, model):
+            if args.trace_accuracy:
+                row["global_accuracy"] = nn.count_correct(model, env.test) / env.test.count
+            handle.write(json.dumps(row) + "\n")
+
+        vector, outcome = objectives.simulate_genome(genome, env, trace=trace if handle else None)
     ledger = outcome.ledger if outcome else None
     return {
         "genome": list(genome.to_vector()),
@@ -447,6 +458,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _finite_float(text: str) -> float:
+    """float(text), but NaN, Infinity and overflows such as 1e999 raise ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def report(out: Path) -> int:
     """Build the merged outputs of the campaign in out from its manifest and
     per-run CSVs, all read and checked before anything is written."""
@@ -454,7 +473,9 @@ def report(out: Path) -> int:
     if not manifest_path.is_file():
         raise DataError(f"missing {manifest_path}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads(
+            manifest_path.read_text(encoding="utf-8"), parse_float=_finite_float, parse_constant=_finite_float
+        )
         for key in ("runs", "n_clients", "n_layers", "interval_max"):
             value = manifest[key]
             # bool is an int subclass, but true is no count
@@ -485,6 +506,10 @@ def report(out: Path) -> int:
                     raise ValueError(f"objectives ({point.comm}, {point.accuracy}) lie outside [0, 1]")
             path = out / hv_name
             hv_tables.append(metrics.read_hypervolume_csv(path))
+            for gen, hv, evals, hv_archive in hv_tables[-1]:
+                # both volumes lie in the unit box; NaN fails the comparison too
+                if not (gen >= 0 and evals >= 1 and 0.0 <= hv <= 1.0 and 0.0 <= hv_archive <= 1.0):
+                    raise ValueError(f"row {gen},{hv},{evals},{hv_archive} needs gen >= 0, evals >= 1 and volumes in [0, 1]")
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
     _print_merged(metrics.export_campaign(out, run_fronts, hv_tables, bounds, manifest))

@@ -81,18 +81,6 @@ class Shard:
         return self.source.take(self.rows[positions])
 
 
-@dataclass(frozen=True)
-class ClientPartition:
-    """Disjoint shards of one dataset, one per client. Each shard is a
-    row-index view, so the partition holds no copy of the dataset's rows."""
-
-    shards: tuple[Shard, ...]
-
-    @property
-    def n_clients(self) -> int:
-        return len(self.shards)
-
-
 def _check_labels(labels: np.ndarray) -> None:
     if labels.size and (labels.min() < 0 or labels.max() > 9):
         raise ValueError("labels must lie in [0, 9]")
@@ -169,8 +157,8 @@ def subsample(ds: LabeledDataset, limit: int | None, seed: int) -> LabeledDatase
     return ds.take(order[:limit])
 
 
-def partition(ds: LabeledDataset, n_clients: int, seed: int) -> ClientPartition:
-    """Split a dataset into n_clients random disjoint shards.
+def partition(ds: LabeledDataset, n_clients: int, seed: int) -> tuple[Shard, ...]:
+    """Split a dataset into n_clients random disjoint shards, one per client.
 
     The examples are permuted under `seed` and split contiguously into
     floor(count / n) sized shards, the remainder going to the first shards.
@@ -182,11 +170,5 @@ def partition(ds: LabeledDataset, n_clients: int, seed: int) -> ClientPartition:
     if n_clients > ds.count:
         raise ValueError(f"cannot split {ds.count} examples among {n_clients} clients")
     order = np.random.default_rng(seed).permutation(ds.count)
-    base, rem = divmod(ds.count, n_clients)
-    sizes = [base + 1] * rem + [base] * (n_clients - rem)
-    shards = []
-    start = 0
-    for size in sizes:
-        shards.append(Shard(ds, order[start : start + size]))
-        start += size
-    return ClientPartition(tuple(shards))
+    # array_split gives the first count % n pieces one more row, as views of order
+    return tuple(Shard(ds, rows) for rows in np.array_split(order, n_clients))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -73,45 +73,36 @@ def aggregate(local_models: list[ModelParams]) -> ModelParams:
     return ModelParams(spec, out)
 
 
-class _BatchStream:
-    """Deterministic cycle over one client's shard: a seeded shuffle consumed
-    batch by batch, reshuffled when exhausted. Advances only when asked."""
-
-    def __init__(self, n_examples: int, batch_size: int, rng: np.random.Generator):
-        self._n = n_examples
-        self._batch = batch_size
-        self._rng = rng
-        self._order = rng.permutation(n_examples)
-        self._pos = 0
-
-    def next_batch(self) -> np.ndarray:
-        if self._pos >= self._n:
-            self._order = self._rng.permutation(self._n)
-            self._pos = 0
-        batch = self._order[self._pos : self._pos + self._batch]
-        self._pos += self._batch
-        return batch
+def _batches(n: int, batch_size: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Endless cycle over one client's shard of n > 0 examples: a seeded
+    shuffle consumed batch by batch, reshuffled when exhausted."""
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            yield order[start : start + batch_size]
 
 
 def run_federated_training(
     genome: Genome,
     env: EvalEnv,
     seed,
-    trace: Callable[[dict], None] | None = None,
-    trace_accuracy: bool = False,
+    trace: Callable[[dict, ModelParams], None] | None = None,
 ) -> FLOutcome:
     """Simulate the run the genome describes in the env's setting, for
     ceil(batches_per_epoch * epochs / interval) rounds.
 
     The local-iteration budget per client is one epoch over its shard times
     `env.epochs`; the final round is shortened so the budget is met exactly.
+    After each round, `trace` (if given) is called with the round's row of
+    selected clients and traffic, and the new global model.
+
     Deterministic given (genome, env, seed). Raises ValueError, before any
     training, on a genome or env that describes no run, and NumericError
     when training or a local model about to be uploaded holds non-finite
     values.
     """
     part, test, spec, train = env.partition, env.test, env.spec, env.train
-    n_clients = part.n_clients
+    n_clients = len(part)
     if not 1 <= genome.participants <= n_clients:
         raise ValueError(f"participants must lie in [1, {n_clients}], got {genome.participants}")
     if genome.interval < 1:
@@ -125,22 +116,23 @@ def run_federated_training(
             raise ValueError(f"bit width of array {i} must lie in [1, {MAX_BITS}], got {bits}")
         if not 0 <= drop <= MAX_DROP_PERCENT:
             raise ValueError(f"drop percent of array {i} must lie in [0, {MAX_DROP_PERCENT}], got {drop}")
-    if any(s.count == 0 for s in part.shards):
+    if any(s.count == 0 for s in part):
         raise ValueError("every client shard must be non-empty")
     if test.count == 0:
         raise ValueError("test set must be non-empty")
 
     sizes = spec.param_shapes
     theta = 32 * spec.total_params
-    batches_per_epoch = math.ceil(max(s.count for s in part.shards) / train.batch_size)
+    batches_per_epoch = math.ceil(max(s.count for s in part) / train.batch_size)
     total_iters = batches_per_epoch * env.epochs
     rounds = math.ceil(total_iters / genome.interval)
 
     root = np.random.SeedSequence(seed)
     select_seq, batch_seq = root.spawn(2)
     select_rng = np.random.default_rng(select_seq)
+    # one generator per client, so no client's batches depend on when another draws
     streams = [
-        _BatchStream(part.shards[k].count, train.batch_size, np.random.default_rng(s))
+        _batches(part[k].count, train.batch_size, np.random.default_rng(s))
         for k, s in enumerate(batch_seq.spawn(n_clients))
     ]
 
@@ -156,10 +148,10 @@ def run_federated_training(
         decoded = []
         round_up = 0
         for k in selected:
-            shard = part.shards[k]
+            shard = part[k]
             local = global_model
             for _ in range(steps):
-                local = sgd_step(local, shard.take(streams[k].next_batch()), train)
+                local = sgd_step(local, shard.take(next(streams[k])), train)
             arrays = []
             for i, arr in enumerate(local.arrays):
                 # sparsify would silently drop a NaN, so check before encoding
@@ -180,9 +172,7 @@ def run_federated_training(
                 "uplink_bits": round_up,
                 "downlink_bits": genome.participants * theta,
             }
-            if trace_accuracy:
-                row["global_accuracy"] = count_correct(global_model, test) / test.count
-            trace(row)
+            trace(row, global_model)
 
     n_correct = count_correct(global_model, test)
     return FLOutcome(global_model, ledger, n_correct / test.count, n_correct)

@@ -166,7 +166,8 @@ def read_csv(path) -> list[list[str]]:
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
+    """Strict JSON: a NaN or infinite float raises ValueError."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8", newline="\n")
 
 
 def pareto_header(n_layers: int) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codec import MAX_BITS, MAX_DROP_PERCENT
-from .data import ClientPartition, LabeledDataset
+from .data import LabeledDataset, Shard
 from .federation import run_federated_training
 from .nn import ModelSpec, NumericError, TrainConfig
 
@@ -126,7 +126,7 @@ class EvalEnv:
     """
 
     spec: ModelSpec
-    partition: ClientPartition
+    partition: tuple[Shard, ...]
     test: LabeledDataset
     train: TrainConfig
     epochs: int
@@ -135,7 +135,7 @@ class EvalEnv:
 
     @property
     def n_clients(self) -> int:
-        return self.partition.n_clients
+        return len(self.partition)
 
 
 def simulate_genome(
@@ -144,7 +144,6 @@ def simulate_genome(
     generation: int = 0,
     index: int = 0,
     trace=None,
-    trace_accuracy: bool = False,
 ):
     """Simulate one genome; returns (ObjectiveVector, FLOutcome or None),
     deterministic given (env.seed, generation, index).
@@ -154,9 +153,7 @@ def simulate_genome(
     """
     alpha, beta, f1 = comm_fraction(genome, env.spec.param_shapes, env.n_clients)
     try:
-        outcome = run_federated_training(
-            genome, env, [env.seed, generation, index], trace=trace, trace_accuracy=trace_accuracy
-        )
+        outcome = run_federated_training(genome, env, [env.seed, generation, index], trace=trace)
     except NumericError as exc:
         vector = ObjectiveVector(
             f1, 0.0, alpha, beta, 0, env.test.count,

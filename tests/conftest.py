@@ -442,14 +442,14 @@ def write_idx(ds: data.LabeledDataset, images_path, labels_path) -> None:
         f.write(ds.labels.astype(np.uint8).tobytes())
 
 
-def copying_partition(ds: data.LabeledDataset, n_clients: int, seed: int) -> data.ClientPartition:
+def copying_partition(ds: data.LabeledDataset, n_clients: int, seed: int) -> tuple[data.LabeledDataset, ...]:
     """Reference partition: the same shards as data.partition, each a copy of
     its rows rather than a row-index view."""
     order = np.random.default_rng(seed).permutation(ds.count)
     base, rem = divmod(ds.count, n_clients)
     sizes = [base + 1] * rem + [base] * (n_clients - rem)
     starts = np.cumsum([0] + sizes)
-    return data.ClientPartition(tuple(ds.take(order[a:b]) for a, b in zip(starts[:-1], starts[1:])))
+    return tuple(ds.take(order[a:b]) for a, b in zip(starts[:-1], starts[1:]))
 
 
 def make_synthetic(n: int, seed: int) -> data.LabeledDataset:

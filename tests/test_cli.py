@@ -10,7 +10,7 @@ import pytest
 
 from flcop import cli, data, metrics, objectives
 from flcop.objectives import Genome
-from conftest import LayerCompressionSpec, payload_bits
+from conftest import LayerCompressionSpec, make_synthetic, payload_bits, write_idx
 
 
 def run_cli(*argv):
@@ -55,6 +55,10 @@ def test_trace_accuracy_adds_per_round_accuracy(fixture_mnist_dir, tmp_path):
     assert rc == 0
     rows = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
     assert rows and all(0.0 <= r["global_accuracy"] <= 1.0 for r in rows)
+    payload = json.loads((tmp_path / "baseline.json").read_text())
+    assert len(rows) == payload["ledger"]["rounds"]
+    # the last round's model is the one the objective scores
+    assert rows[-1]["global_accuracy"] == payload["objectives"]["f2"]
 
 
 def test_eval_brute_force_genome(fixture_mnist_dir, capsys):
@@ -233,6 +237,23 @@ def test_more_clients_than_training_examples_is_config_error(fixture_mnist_dir, 
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("empty", ["train", "test"])
+@pytest.mark.parametrize("command", ["optimize", "baseline", "eval"])
+def test_empty_idx_file_is_data_error(tmp_path, capsys, command, empty):
+    mnist = tmp_path / "mnist"
+    mnist.mkdir()
+    sizes = {"train": 64, "test": 32, empty: 0}
+    write_idx(make_synthetic(sizes["train"], 0), mnist / data.TRAIN_IMAGES, mnist / data.TRAIN_LABELS)
+    write_idx(make_synthetic(sizes["test"], 1), mnist / data.TEST_IMAGES, mnist / data.TEST_LABELS)
+    genome = ["[4,1,0,0,0,0,32,32,32,32]"] if command == "eval" else []
+    out = tmp_path / "out"
+    out_flag = ["--out", out] if command != "eval" else []
+    assert run_cli(command, *genome, "--mnist-dir", mnist, *out_flag) == 2
+    name = data.TRAIN_IMAGES if empty == "train" else data.TEST_IMAGES
+    assert f"{mnist / name} holds no examples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -334,6 +355,27 @@ def test_report_rejects_bad_run_count(campaign_dir, tmp_path, capsys, key, value
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_report_rejects_non_finite_manifest_numbers(campaign_dir, tmp_path, capsys, value):
+    out = tmp_path / "campaign"
+    shutil.copytree(campaign_dir, out)
+    text = (out / "campaign.json").read_text()
+    assert '"lr": 0.1,' in text
+    (out / "campaign.json").write_text(text.replace('"lr": 0.1,', f'"lr": {value},'))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run_cli("report", out) == 2
+    err = capsys.readouterr().err
+    assert "campaign.json" in err and f"{value} is not a finite number" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_write_json_rejects_non_finite_numbers(tmp_path):
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            metrics.write_json(tmp_path / "summary.json", {"final_hv": value})
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_report_names_missing_files(campaign_dir, capsys):
     moved = campaign_dir / "pareto_run2.csv"
     stash = moved.read_bytes()
@@ -365,8 +407,20 @@ def _first_row_cell(index, value):
         # numbers, but no fractions
         ("pareto_run1.csv", _first_row_cell(3, "nan")),
         ("pareto_run2.csv", _first_row_cell(2, "2.0")),
+        # a last row, which summary.json would copy
+        ("hypervolume_run1.csv", lambda lines: [*lines, "1,nan,8,inf"]),
+        ("hypervolume_run2.csv", _first_row_cell(1, "nan")),
+        ("hypervolume_run2.csv", _first_row_cell(3, "inf")),
+        ("hypervolume_run1.csv", _first_row_cell(1, "1.5")),
+        ("hypervolume_run1.csv", _first_row_cell(3, "-0.25")),
+        ("hypervolume_run2.csv", _first_row_cell(2, "0")),
+        ("hypervolume_run1.csv", _first_row_cell(0, "-1")),
     ],
-    ids=["non-numeric-cell", "short-row", "wrong-layer-count", "nan-f2", "f1-above-one"],
+    ids=[
+        "non-numeric-cell", "short-row", "wrong-layer-count", "nan-f2", "f1-above-one",
+        "nan-and-inf-last-row", "nan-hv", "inf-hv-archive", "hv-above-one", "negative-hv-archive",
+        "no-evals", "negative-gen",
+    ],
 )
 def test_report_rejects_malformed_run_files(campaign_dir, tmp_path, capsys, name, corrupt):
     out = tmp_path / "campaign"

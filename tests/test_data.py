@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flcop import data
 from conftest import copying_partition, make_synthetic, write_idx
@@ -138,20 +140,20 @@ def _row_multiset(ds: data.LabeledDataset) -> set:
 def test_partition_equal_shards():
     ds = make_synthetic(1000, 6)
     part = data.partition(ds, 4, seed=7)
-    assert [s.count for s in part.shards] == [250] * 4
+    assert [s.count for s in part] == [250] * 4
 
 
 def test_partition_remainder_to_first_shards():
     ds = make_synthetic(10, 6)
     part = data.partition(ds, 3, seed=1)
-    assert [s.count for s in part.shards] == [4, 3, 3]
+    assert [s.count for s in part] == [4, 3, 3]
 
 
 def test_partition_single_client_is_identity_content():
     ds = make_synthetic(10, 6)
     part = data.partition(ds, 1, seed=3)
-    assert part.shards[0].count == 10
-    assert _row_multiset(_rows(part.shards[0])) == _row_multiset(ds)
+    assert part[0].count == 10
+    assert _row_multiset(_rows(part[0])) == _row_multiset(ds)
 
 
 def test_partition_is_bijection():
@@ -159,7 +161,7 @@ def test_partition_is_bijection():
     part = data.partition(ds, 4, seed=9)
     union = set()
     total = 0
-    for shard in part.shards:
+    for shard in part:
         union |= _row_multiset(_rows(shard))
         total += shard.count
     assert total == ds.count
@@ -170,7 +172,7 @@ def test_partition_deterministic():
     ds = make_synthetic(64, 10)
     a = data.partition(ds, 4, seed=5)
     b = data.partition(ds, 4, seed=5)
-    for sa, sb in zip(a.shards, b.shards):
+    for sa, sb in zip(a, b):
         assert np.array_equal(_rows(sa).images, _rows(sb).images)
         assert np.array_equal(_rows(sa).labels, _rows(sb).labels)
 
@@ -181,7 +183,7 @@ def test_shard_batches_equal_copied_shards(seed):
     views = data.partition(ds, 4, seed)
     copies = copying_partition(ds, 4, seed)
     rng = np.random.default_rng(seed)
-    for view, copy in zip(views.shards, copies.shards, strict=True):
+    for view, copy in zip(views, copies, strict=True):
         assert view.count == copy.count
         for positions in (np.arange(view.count), rng.permutation(view.count), rng.integers(0, view.count, 16)):
             got, want = view.take(positions), copy.take(positions)
@@ -199,7 +201,29 @@ def test_partition_copies_no_rows():
         tracemalloc.stop()
     # the permutation's int64 indices are all it allocates: 1/98 of the float32 rows
     assert peak < ds.images.nbytes // 20, peak
-    assert all(shard.source is ds for shard in part.shards)
+    assert all(shard.source is ds for shard in part)
+
+
+@st.composite
+def _partition_cases(draw):
+    rows = draw(st.integers(1, 300))
+    return rows, draw(st.integers(1, rows)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_partition_cases())
+def test_partition_property(case):
+    rows, n_clients, seed = case
+    ds = data.LabeledDataset(np.zeros((rows, 784), np.float32), np.zeros(rows, np.int64))
+    part = data.partition(ds, n_clients, seed)
+    assert len(part) == n_clients
+    # disjoint and covering: every row index appears in exactly one shard, once
+    assert np.array_equal(np.sort(np.concatenate([s.rows for s in part])), np.arange(rows))
+    sizes = [s.count for s in part]
+    assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True)
+    assert all(s.source is ds for s in part)
+    again = data.partition(ds, n_clients, seed)
+    assert all(np.array_equal(a.rows, b.rows) for a, b in zip(part, again, strict=True))
 
 
 def test_partition_too_many_clients():

@@ -130,10 +130,17 @@ def test_run_deterministic_and_trace_consistent():
     test = make_synthetic(40, 8)
     part = partition(train, 4, seed=1)
     genome, env = _run(part, test, participants=2, interval=2, bits=6, drop=20)
-    rows = []
-    a = federation.run_federated_training(genome, env, seed=3, trace=rows.append)
+    rows, models = [], []
+
+    def trace(row, model):
+        rows.append(row)
+        models.append(model)
+
+    a = federation.run_federated_training(genome, env, seed=3, trace=trace)
     b = federation.run_federated_training(genome, env, seed=3)
     assert a.accuracy == b.accuracy
+    # the hook's last model is the one the objective scores
+    assert nn.count_correct(models[-1], test) == a.n_correct
     assert all(np.array_equal(x, y) for x, y in zip(a.global_model.arrays, b.global_model.arrays))
     assert len(rows) == a.ledger.rounds_executed
     assert sum(r["uplink_bits"] for r in rows) == a.ledger.uplink_bits
@@ -158,27 +165,27 @@ def _reference_fedavg(genome, env, seed):
     root = np.random.SeedSequence(seed)
     select_seq, batch_seq = root.spawn(2)
     select_rng = np.random.default_rng(select_seq)
-    client_rngs = [np.random.default_rng(s) for s in batch_seq.spawn(part.n_clients)]
-    orders = [rng.permutation(part.shards[k].count) for k, rng in enumerate(client_rngs)]
-    pos = [0] * part.n_clients
+    client_rngs = [np.random.default_rng(s) for s in batch_seq.spawn(len(part))]
+    orders = [rng.permutation(part[k].count) for k, rng in enumerate(client_rngs)]
+    pos = [0] * len(part)
 
-    batches = math.ceil(max(s.count for s in part.shards) / train.batch_size)
+    batches = math.ceil(max(s.count for s in part) / train.batch_size)
     total = batches * env.epochs
     rounds = math.ceil(total / genome.interval)
     global_model = nn.build_model(env.spec, env.init_seed)
     for t in range(1, rounds + 1):
-        selected = np.sort(select_rng.choice(part.n_clients, genome.participants, replace=False))
+        selected = np.sort(select_rng.choice(len(part), genome.participants, replace=False))
         steps = min(genome.interval, total - (t - 1) * genome.interval)
         local_models = []
         for k in selected:
             local = global_model
             for _ in range(steps):
-                if pos[k] >= part.shards[k].count:
-                    orders[k] = client_rngs[k].permutation(part.shards[k].count)
+                if pos[k] >= part[k].count:
+                    orders[k] = client_rngs[k].permutation(part[k].count)
                     pos[k] = 0
                 idx = orders[k][pos[k] : pos[k] + train.batch_size]
                 pos[k] += train.batch_size
-                local = nn.sgd_step(local, part.shards[k].take(idx), train)
+                local = nn.sgd_step(local, part[k].take(idx), train)
             local_models.append(local)
         global_model = federation.aggregate(local_models)
     return global_model
