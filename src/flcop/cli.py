@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -280,36 +279,6 @@ def _campaign_manifest(options: dict, bounds: Bounds) -> dict:
     return manifest
 
 
-def _front_points(result: nsga2.SearchResult, run_id: int, generation: int) -> list[metrics.ParetoPoint]:
-    points = [
-        metrics.ParetoPoint(ind.objectives[0], ind.objectives[1], Genome.from_vector(ind.genome), run_id, generation)
-        for ind in result.population
-        if ind.rank == 1
-    ]
-    points.sort(key=lambda p: (p.comm, p.accuracy, p.genome.to_vector()))
-    return points
-
-
-def _write_generation_log(path: Path, history: list[nsga2.GenerationRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for rec in history:
-            row = {
-                "gen": rec.generation,
-                "front1": [[objs[0], objs[1], list(genome)] for objs, genome in rec.front],
-                "hypervolume": rec.hv_front,
-                "evals": rec.evaluations,
-            }
-            f.write(json.dumps(row) + "\n")
-
-
-def _run_files(run_id: int) -> tuple[str, str, str]:
-    """The pareto, hypervolume and generation-log file names of one run."""
-    return f"pareto_run{run_id}.csv", f"hypervolume_run{run_id}.csv", f"generations_run{run_id}.jsonl"
-
-
-MERGED_FILES = ("pareto_merged.csv", "genome_stats.csv", "summary.json")
-
-
 def cmd_optimize(args: argparse.Namespace) -> int:
     options = resolve_options(args)
     if options["model"] == "fc" and options["workers"] > 1:
@@ -321,12 +290,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     out = Path(options["out"])
     out.mkdir(parents=True, exist_ok=True)
     # an older campaign's files must not pass for this one's if it is killed
-    for run_id in range(1, options["runs"] + 1):
-        for name in _run_files(run_id):
-            (out / name).unlink(missing_ok=True)
-    for name in MERGED_FILES:
+    stale = [name for k in range(1, options["runs"] + 1) for name in metrics.run_files(k)]
+    for name in [*stale, *metrics.MERGED_FILES]:
         (out / name).unlink(missing_ok=True)
-    metrics.write_json(out / "campaign.json", _campaign_manifest(options, bounds))
+    metrics.write_json(out / metrics.MANIFEST_FILE, _campaign_manifest(options, bounds))
 
     with ThreadPoolExecutor(options["workers"]) as pool:
         for run_id in range(1, options["runs"] + 1):
@@ -340,22 +307,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             # the run's environment lives only inside the call; its shards are
             # index views onto `train`, so a run adds no copy of the rows
             result = _search(pool, _make_env(options, train, test, run_seed), params)
-            front = _front_points(result, run_id, options["generations"])
-            pareto_name, hv_name, log_name = _run_files(run_id)
-            metrics.write_pareto_csv(out / pareto_name, front, bounds.n_layers)
-            hv_rows = [(r.generation, r.hv_front, r.evaluations, r.hv_archive) for r in result.history]
-            metrics.write_csv(out / hv_name, metrics.HV_HEADER, hv_rows)
-            _write_generation_log(out / log_name, result.history)
-            print(f"run {run_id}/{options['runs']}: front size {len(front)}, evaluations {result.evaluations}")
+            metrics.write_run(out, run_id, result.history, bounds.n_layers)
+            print(f"run {run_id}/{options['runs']}: front size {len(result.history[-1].front)}, evaluations {result.evaluations}")
 
     return report(out)
-
-
-def _print_merged(summary: dict) -> None:
-    print(
-        f"merged front: {summary['merged_front_size']} points, "
-        f"best f2 {summary['best_f2']}, min f1 {summary['min_f1']}"
-    )
 
 
 def brute_force_genome(n_clients: int, n_layers: int) -> Genome:
@@ -397,7 +352,16 @@ def _simulate_payload(genome: Genome, env: EvalEnv, args: argparse.Namespace) ->
     }
 
 
+def _check_trace_flags(args: argparse.Namespace) -> None:
+    """A trace flag that would write no trace is a configuration error."""
+    if getattr(args, "layer_sizes", None) and (args.trace or args.trace_accuracy):
+        raise ConfigError("--layer-sizes runs no simulation, so it takes no --trace or --trace-accuracy")
+    if args.trace_accuracy and not args.trace:
+        raise ConfigError("--trace-accuracy needs --trace")
+
+
 def cmd_baseline(args: argparse.Namespace) -> int:
+    _check_trace_flags(args)
     options = resolve_options(args)
     env = _make_env(options, *_load_datasets(options), options["seed"])
     payload = _simulate_payload(brute_force_genome(env.n_clients, env.spec.n_arrays), env, args)
@@ -428,6 +392,7 @@ def _parse_genome_arg(text: str) -> Genome:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _check_trace_flags(args)
     options = resolve_options(args)
     genome = _parse_genome_arg(args.genome)
 
@@ -458,61 +423,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _finite_float(text: str) -> float:
-    """float(text), but NaN, Infinity and overflows such as 1e999 raise ValueError."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text} is not a finite number")
-    return value
-
-
 def report(out: Path) -> int:
-    """Build the merged outputs of the campaign in out from its manifest and
-    per-run CSVs, all read and checked before anything is written."""
-    manifest_path = out / "campaign.json"
-    if not manifest_path.is_file():
-        raise DataError(f"missing {manifest_path}")
+    """Build the merged outputs of the campaign in out from its checked files."""
     try:
-        manifest = json.loads(
-            manifest_path.read_text(encoding="utf-8"), parse_float=_finite_float, parse_constant=_finite_float
-        )
-        for key in ("runs", "n_clients", "n_layers", "interval_max"):
-            value = manifest[key]
-            # bool is an int subclass, but true is no count
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{key} must be an integer of at least 1, got {value!r}")
-        runs = manifest["runs"]
-        bounds = Bounds(manifest["n_clients"], manifest["n_layers"], manifest["interval_max"])
-    except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"{manifest_path} is not a campaign manifest: {type(exc).__name__}: {exc}") from exc
-    missing = []
-    for k in range(1, runs + 1):
-        for name in _run_files(k)[:2]:
-            if not (out / name).is_file():
-                missing.append(name)
-    if missing:
-        raise DataError("missing campaign files: " + ", ".join(missing))
-
-    run_fronts, hv_tables = [], []
-    try:
-        for k in range(1, runs + 1):
-            pareto_name, hv_name, _ = _run_files(k)
-            path = out / pareto_name
-            run_fronts.append(metrics.read_pareto_csv(path))
-            for point in run_fronts[-1]:
-                point.genome.validate(bounds)
-                # both objectives are fractions; NaN fails the comparison too
-                if not (0.0 <= point.comm <= 1.0 and 0.0 <= point.accuracy <= 1.0):
-                    raise ValueError(f"objectives ({point.comm}, {point.accuracy}) lie outside [0, 1]")
-            path = out / hv_name
-            hv_tables.append(metrics.read_hypervolume_csv(path))
-            for gen, hv, evals, hv_archive in hv_tables[-1]:
-                # both volumes lie in the unit box; NaN fails the comparison too
-                if not (gen >= 0 and evals >= 1 and 0.0 <= hv <= 1.0 and 0.0 <= hv_archive <= 1.0):
-                    raise ValueError(f"row {gen},{hv},{evals},{hv_archive} needs gen >= 0, evals >= 1 and volumes in [0, 1]")
+        manifest, bounds, run_fronts, hv_tables = metrics.read_campaign(out)
     except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    _print_merged(metrics.export_campaign(out, run_fronts, hv_tables, bounds, manifest))
+        raise DataError(str(exc)) from exc
+    summary = metrics.export_campaign(out, run_fronts, hv_tables, bounds, manifest)
+    print(f"merged front: {summary['merged_front_size']} points, best f2 {summary['best_f2']}, min f1 {summary['min_f1']}")
     return EXIT_OK
 
 

@@ -1,13 +1,17 @@
-"""Front quality metrics, cross-run merging, and result export.
+"""Front quality metrics, cross-run merging, and the campaign directory.
 
 Objective convention throughout: f1 (communication fraction) is minimized,
 f2 (accuracy) is maximized, both live in [0, 1], and the hypervolume
 reference point (1.0, 0.0) is the worst corner of that box.
+
+It also owns the campaign directory: its file names, its writers, and
+`read_campaign`, which checks every file before anything is built from it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -193,6 +197,86 @@ def read_hypervolume_csv(path) -> list[tuple[int, float, int, float]]:
     return [(int(gen), float(hv), int(evals), float(hv_archive)) for gen, hv, evals, hv_archive in read_csv(path)]
 
 
+MANIFEST_FILE = "campaign.json"
+MERGED_FILES = ("pareto_merged.csv", "genome_stats.csv", "summary.json")
+
+
+def run_files(run_id: int) -> tuple[str, str, str]:
+    """The pareto, hypervolume and generation-log file names of one run."""
+    return f"pareto_run{run_id}.csv", f"hypervolume_run{run_id}.csv", f"generations_run{run_id}.jsonl"
+
+
+def write_run(out_dir, run_id: int, history: Sequence, n_layers: int) -> None:
+    """Write one run's files into out_dir from its nsga2.GenerationRecords:
+    the last record's first front, which is the final population's, sorted
+    by (f1, f2, genome), the hypervolume trace, and one JSON line per record."""
+    out = Path(out_dir)
+    pareto_name, hv_name, log_name = run_files(run_id)
+    gen = history[-1].generation
+    front = [ParetoPoint(f1, f2, Genome.from_vector(genes), run_id, gen) for (f1, f2), genes in history[-1].front]
+    front.sort(key=lambda p: (p.comm, p.accuracy, p.genome.to_vector()))
+    write_pareto_csv(out / pareto_name, front, n_layers)
+    write_csv(out / hv_name, HV_HEADER, [(r.generation, r.hv_front, r.evaluations, r.hv_archive) for r in history])
+    log = [{"gen": r.generation, "front1": [[f1, f2, list(genes)] for (f1, f2), genes in r.front],
+            "hypervolume": r.hv_front, "evals": r.evaluations} for r in history]
+    (out / log_name).write_text("".join(json.dumps(row) + "\n" for row in log), encoding="utf-8", newline="\n")
+
+
+def _finite_float(text: str) -> float:
+    """float(text), but NaN, Infinity and overflows such as 1e999 raise ValueError."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[ParetoPoint]], list[list[tuple[int, float, int, float]]]]:
+    """The manifest, bounds, run fronts and hypervolume tables of the
+    campaign in out_dir, after every file has been checked; a missing or
+    malformed file raises ValueError naming it. So there is at least one
+    run, and each run has at least one front point and hypervolume row."""
+    out = Path(out_dir)
+    path = out / MANIFEST_FILE
+    if not path.is_file():
+        raise ValueError(f"missing {path}")
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"), parse_float=_finite_float, parse_constant=_finite_float)
+        for key in ("runs", "n_clients", "n_layers", "interval_max"):
+            value = manifest[key]
+            # bool is an int subclass, but true is no count
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{key} must be an integer of at least 1, got {value!r}")
+        bounds = Bounds(manifest["n_clients"], manifest["n_layers"], manifest["interval_max"])
+    except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is not a campaign manifest: {type(exc).__name__}: {exc}") from exc
+    runs = range(1, manifest["runs"] + 1)
+    missing = [name for k in runs for name in run_files(k)[:2] if not (out / name).is_file()]
+    if missing:
+        raise ValueError("missing campaign files: " + ", ".join(missing))
+    run_fronts, hv_tables = [], []
+    try:
+        for k in runs:
+            path = out / run_files(k)[0]
+            run_fronts.append(read_pareto_csv(path))
+            if not run_fronts[-1]:
+                raise ValueError("holds no front point")
+            for point in run_fronts[-1]:
+                point.genome.validate(bounds)
+                # both objectives are fractions; NaN fails the comparison too
+                if not (point.run_id == k and 0.0 <= point.comm <= 1.0 and 0.0 <= point.accuracy <= 1.0):
+                    raise ValueError(f"run {point.run_id}, f1 {point.comm}, f2 {point.accuracy}: need run {k}, f1, f2 in [0, 1]")
+            path = out / run_files(k)[1]
+            hv_tables.append(read_hypervolume_csv(path))
+            if not hv_tables[-1]:
+                raise ValueError("holds no generation row")
+            for i, (gen, hv, evals, hv_archive) in enumerate(hv_tables[-1]):
+                # gen counts up from 0; both volumes lie in the unit box, and NaN fails the comparison too
+                if not (gen == i and evals >= 1 and 0.0 <= hv <= 1.0 and 0.0 <= hv_archive <= 1.0):
+                    raise ValueError(f"row {gen},{hv},{evals},{hv_archive} needs gen {i}, evals >= 1 and volumes in [0, 1]")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return manifest, bounds, run_fronts, hv_tables
+
+
 def genome_stats_rows(run_fronts: Sequence[Sequence[ParetoPoint]], bounds: Bounds) -> list[tuple]:
     """Quartiles of normalized genome coordinates of each run's selected points.
 
@@ -204,9 +288,7 @@ def genome_stats_rows(run_fronts: Sequence[Sequence[ParetoPoint]], bounds: Bound
     names = bounds.coordinate_names()
     rows = []
     for kind in FRONT_KINDS:
-        chosen = [_SELECTORS[kind](front) for front in run_fronts if front]
-        if not chosen:
-            continue
+        chosen = [_SELECTORS[kind](front) for front in run_fronts]
         matrix = np.array([p.genome.to_vector() for p in chosen], np.float64)
         for col, (name, (lo, hi)) in enumerate(zip(names, ranges)):
             span = hi - lo
@@ -227,23 +309,21 @@ def build_summary(
 ) -> dict:
     per_run = []
     for k, (front, hv_rows) in enumerate(zip(run_fronts, hv_tables), start=1):
-        entry = {
+        per_run.append({
             "run": k,
             "front_size": len(front),
-            "best_f2": max((p.accuracy for p in front), default=0.0),
-            "min_f1": min((p.comm for p in front), default=1.0),
-        }
-        if hv_rows:
-            entry["final_hv"] = hv_rows[-1][1]
-            entry["final_hv_archive"] = hv_rows[-1][3]
-            entry["evaluations"] = hv_rows[-1][2]
-        per_run.append(entry)
+            "best_f2": max(p.accuracy for p in front),
+            "min_f1": min(p.comm for p in front),
+            "final_hv": hv_rows[-1][1],
+            "final_hv_archive": hv_rows[-1][3],
+            "evaluations": hv_rows[-1][2],
+        })
     return {
         "config": manifest,
         "runs": len(run_fronts),
         "merged_front_size": len(merged),
-        "best_f2": max((p.accuracy for p in merged), default=0.0),
-        "min_f1": min((p.comm for p in merged), default=1.0),
+        "best_f2": max(p.accuracy for p in merged),
+        "min_f1": min(p.comm for p in merged),
         "per_run": per_run,
     }
 
@@ -255,12 +335,13 @@ def export_campaign(
     bounds: Bounds,
     manifest: dict,
 ) -> dict:
-    """Write the merged front, genome statistics and summary.json of the
-    runs' fronts and hypervolume traces into out_dir. Returns the summary."""
+    """Write the merged front, genome statistics and summary of the runs'
+    fronts and hypervolume traces into out_dir. Returns the summary."""
     out = Path(out_dir)
-    merged = merge_pseudo_optimal(run_fronts) if run_fronts else []
-    write_pareto_csv(out / "pareto_merged.csv", merged, bounds.n_layers)
-    write_csv(out / "genome_stats.csv", GENOME_STATS_HEADER, genome_stats_rows(run_fronts, bounds))
+    merged_name, stats_name, summary_name = MERGED_FILES
+    merged = merge_pseudo_optimal(run_fronts)
+    write_pareto_csv(out / merged_name, merged, bounds.n_layers)
+    write_csv(out / stats_name, GENOME_STATS_HEADER, genome_stats_rows(run_fronts, bounds))
     summary = build_summary(run_fronts, merged, hv_tables, manifest)
-    write_json(out / "summary.json", summary)
+    write_json(out / summary_name, summary)
     return summary

@@ -415,11 +415,19 @@ def _first_row_cell(index, value):
         ("hypervolume_run1.csv", _first_row_cell(3, "-0.25")),
         ("hypervolume_run2.csv", _first_row_cell(2, "0")),
         ("hypervolume_run1.csv", _first_row_cell(0, "-1")),
+        # a header alone, which summary.json would fill with made-up figures
+        ("pareto_run2.csv", lambda lines: lines[:1]),
+        ("hypervolume_run2.csv", lambda lines: lines[:1]),
+        # points that pareto_merged.csv would credit to another run
+        ("pareto_run2.csv", _first_row_cell(0, "7")),
+        # the last row, which summary.json copies, must be the last generation's
+        ("hypervolume_run1.csv", lambda lines: [lines[0], *reversed(lines[1:])]),
     ],
     ids=[
         "non-numeric-cell", "short-row", "wrong-layer-count", "nan-f2", "f1-above-one",
         "nan-and-inf-last-row", "nan-hv", "inf-hv-archive", "hv-above-one", "negative-hv-archive",
-        "no-evals", "negative-gen",
+        "no-evals", "negative-gen", "no-front-point", "no-generation-row", "other-run",
+        "reversed-generations",
     ],
 )
 def test_report_rejects_malformed_run_files(campaign_dir, tmp_path, capsys, name, corrupt):
@@ -431,6 +439,28 @@ def test_report_rejects_malformed_run_files(campaign_dir, tmp_path, capsys, name
     assert run_cli("report", out) == 2
     assert name in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "[4,1,0,0,0,0,32,32,32,32]", "--trace-accuracy"),
+        ("baseline", "--trace-accuracy"),
+        ("eval", "[4,1,0,0,0,0,32,32,32,32]", "--layer-sizes", "100,10,100,10", "--trace", "TRACE"),
+        ("eval", "[4,1,0,0,0,0,32,32,32,32]", "--layer-sizes", "100,10,100,10", "--trace-accuracy"),
+        ("eval", "[4,1,0,0,0,0,32,32,32,32]", "--layer-sizes", "100,10,100,10", "--trace", "TRACE", "--trace-accuracy"),
+    ],
+    ids=["eval-accuracy-without-trace", "baseline-accuracy-without-trace", "layer-sizes-trace",
+         "layer-sizes-accuracy", "layer-sizes-trace-and-accuracy"],
+)
+def test_trace_flags_that_write_nothing_are_config_errors(tmp_path, capsys, argv):
+    # the MNIST directory does not exist, so a command that read data would exit 2
+    trace = tmp_path / "trace.jsonl"
+    argv = [trace if a == "TRACE" else a for a in argv]
+    out = ("--out", tmp_path / "out") if argv[0] == "baseline" else ()
+    assert run_cli(*argv, "--mnist-dir", tmp_path / "missing", *out) == 1
+    assert "--trace" in capsys.readouterr().err
+    assert not trace.exists() and not (tmp_path / "out").exists()
 
 
 def test_killed_campaign_keeps_finished_runs(fixture_mnist_dir, campaign_dir, tmp_path, monkeypatch, capsys):

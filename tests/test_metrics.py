@@ -204,11 +204,10 @@ def test_genome_stats_quartiles():
 
 
 def test_export_empty_campaign(tmp_path):
-    bounds = Bounds(4, 2)
-    summary = metrics.export_campaign(tmp_path, [], [], bounds, {"runs": 0})
-    assert (tmp_path / "pareto_merged.csv").read_text() == metrics.pareto_header(2) + "\n"
-    assert (tmp_path / "genome_stats.csv").read_text() == metrics.GENOME_STATS_HEADER + "\n"
-    assert summary["merged_front_size"] == 0
+    # read_campaign admits no campaign without runs, so there is nothing to merge
+    with pytest.raises(ValueError, match="at least one run"):
+        metrics.export_campaign(tmp_path, [], [], Bounds(4, 2), {"runs": 0})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_export_and_read_back(tmp_path):
