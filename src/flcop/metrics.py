@@ -232,15 +232,20 @@ def _finite_float(text: str) -> float:
 def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[ParetoPoint]], list[list[tuple[int, float, int, float]]]]:
     """The manifest, bounds, run fronts and hypervolume tables of the
     campaign in out_dir, after every file has been checked; a missing or
-    malformed file raises ValueError naming it. So there is at least one
-    run, and each run has at least one front point and hypervolume row."""
+    malformed file raises ValueError naming it. The manifest's runs,
+    n_clients, n_layers, interval_max, pop and generations are integers of
+    at least 1. A pareto file holds one or more points of its run, each with
+    gen = generations, a genome within bounds and f1, f2 in [0, 1]. A
+    hypervolume file holds gen 0 .. generations in order, evals = pop *
+    (gen + 1) and volumes in [0, 1], and its last hv equals the pareto
+    points' hypervolume exactly: both are one sweep over one front."""
     out = Path(out_dir)
     path = out / MANIFEST_FILE
     if not path.is_file():
         raise ValueError(f"missing {path}")
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"), parse_float=_finite_float, parse_constant=_finite_float)
-        for key in ("runs", "n_clients", "n_layers", "interval_max"):
+        for key in ("runs", "n_clients", "n_layers", "interval_max", "pop", "generations"):
             value = manifest[key]
             # bool is an int subclass, but true is no count
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -248,7 +253,7 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[ParetoPoint]], list[
         bounds = Bounds(manifest["n_clients"], manifest["n_layers"], manifest["interval_max"])
     except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path} is not a campaign manifest: {type(exc).__name__}: {exc}") from exc
-    runs = range(1, manifest["runs"] + 1)
+    runs, pop, generations = range(1, manifest["runs"] + 1), manifest["pop"], manifest["generations"]
     missing = [name for k in runs for name in run_files(k)[:2] if not (out / name).is_file()]
     if missing:
         raise ValueError("missing campaign files: " + ", ".join(missing))
@@ -257,21 +262,23 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[ParetoPoint]], list[
         for k in runs:
             path = out / run_files(k)[0]
             run_fronts.append(read_pareto_csv(path))
-            if not run_fronts[-1]:
-                raise ValueError("holds no front point")
+            if {(p.run_id, p.generation) for p in run_fronts[-1]} != {(k, generations)}:
+                raise ValueError(f"needs at least one row, each with run {k} and gen {generations}")
             for point in run_fronts[-1]:
                 point.genome.validate(bounds)
                 # both objectives are fractions; NaN fails the comparison too
-                if not (point.run_id == k and 0.0 <= point.comm <= 1.0 and 0.0 <= point.accuracy <= 1.0):
-                    raise ValueError(f"run {point.run_id}, f1 {point.comm}, f2 {point.accuracy}: need run {k}, f1, f2 in [0, 1]")
+                if not (0.0 <= point.comm <= 1.0 and 0.0 <= point.accuracy <= 1.0):
+                    raise ValueError(f"f1 {point.comm}, f2 {point.accuracy}: need both in [0, 1]")
             path = out / run_files(k)[1]
             hv_tables.append(read_hypervolume_csv(path))
-            if not hv_tables[-1]:
-                raise ValueError("holds no generation row")
-            for i, (gen, hv, evals, hv_archive) in enumerate(hv_tables[-1]):
-                # gen counts up from 0; both volumes lie in the unit box, and NaN fails the comparison too
-                if not (gen == i and evals >= 1 and 0.0 <= hv <= 1.0 and 0.0 <= hv_archive <= 1.0):
-                    raise ValueError(f"row {gen},{hv},{evals},{hv_archive} needs gen {i}, evals >= 1 and volumes in [0, 1]")
+            if [(gen, evals) for gen, _, evals, _ in hv_tables[-1]] != [(g, pop * (g + 1)) for g in range(generations + 1)]:
+                raise ValueError(f"needs one row per gen 0 .. {generations}, in order, with evals = {pop} * (gen + 1)")
+            for gen, hv, evals, hv_archive in hv_tables[-1]:
+                # both volumes lie in the unit box, and NaN fails the comparison too
+                if not (0.0 <= hv <= 1.0 and 0.0 <= hv_archive <= 1.0):
+                    raise ValueError(f"row {gen},{hv},{evals},{hv_archive} needs volumes in [0, 1]")
+            if hv_tables[-1][-1][1] != (front_hv := hypervolume([p.as_pair() for p in run_fronts[-1]])):
+                raise ValueError(f"last hv {hv_tables[-1][-1][1]} differs from {front_hv}, the hypervolume of {run_files(k)[0]}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return manifest, bounds, run_fronts, hv_tables

@@ -2,8 +2,9 @@
 
 The engine is independent of the federated problem: it needs per-coordinate
 bounds, an objective direction per objective (+1 minimize, -1 maximize), and
-a batch evaluator. Objective values must not be NaN: the sort, the archive
-and the hypervolume raise ValueError on one; ±inf is ordered as usual.
+a batch evaluator that returns one result per genome, or run raises
+ValueError. Objective values must not be NaN: the sort, the archive and the
+hypervolume raise ValueError on one; ±inf is ordered as usual.
 Operators draw from a single sequential random stream, so a fixed seed
 reproduces a run exactly regardless of how the evaluator parallelizes.
 
@@ -253,11 +254,11 @@ def run(
     """Full NSGA-II loop: evaluate a random population, then per generation
     select, cross, mutate, evaluate, and apply elitist replacement.
 
-    History records each generation's first front and, when hv_reference is
-    given, the hypervolume of that front and of the running archive of all
-    non-dominated points seen so far. The archive takes each generation's
-    new points incrementally (see Archive): its members are never compared
-    with each other again.
+    History records each generation's first front, its evaluation count
+    pop * (generation + 1) and, when hv_reference is given, the hypervolume
+    of that front and of the running archive of all non-dominated points
+    seen so far. The archive takes each generation's new points
+    incrementally (see Archive): its members are never compared again.
     """
     rng = np.random.default_rng(params.seed)
     bounds = np.asarray(params.bounds)
@@ -267,16 +268,16 @@ def run(
         Individual(tuple(rng.integers(bounds[:, 0], bounds[:, 1] + 1).tolist()))
         for _ in range(params.population_size)
     ]
-    evaluations = 0
     archive = Archive(directions)
     history: list[GenerationRecord] = []
 
-    def eval_all(individuals: list[Individual], generation: int) -> None:
-        nonlocal evaluations
+    def score(individuals: list[Individual], generation: int) -> None:
         results = evaluate([ind.genome for ind in individuals], generation)
+        if len(results) != len(individuals):
+            raise ValueError(f"evaluate returned {len(results)} results for {len(individuals)} genomes")
         for ind, objs in zip(individuals, results):
             ind.objectives = tuple(float(v) for v in objs)
-        evaluations += len(individuals)
+        archive.update([(ind.objectives, ind.genome) for ind in individuals], generation)
 
     def record(generation: int) -> None:
         front = [(ind.objectives, ind.genome) for ind in population if ind.rank == 1]
@@ -284,10 +285,10 @@ def run(
         if hv_reference is not None:
             hv_front = _hv_in_box(np.asarray([f[0] for f in front], np.float64), directions, hv_reference)
             hv_archive = _hv_in_box(archive.objectives, directions, hv_reference)
+        evaluations = params.population_size * (generation + 1)
         history.append(GenerationRecord(generation, front, hv_front, hv_archive, evaluations))
 
-    eval_all(population, 0)
-    archive.update([(ind.objectives, ind.genome) for ind in population], 0)
+    score(population, 0)
     replacement(population, [], directions)  # ranks in place; the list order feeds the tournament
     record(0)
 
@@ -299,9 +300,8 @@ def run(
             for child in (child_a, child_b):
                 mutated = uniform_mutation(child, bounds, rng, mutation_prob)
                 offspring.append(Individual(mutated))
-        eval_all(offspring, generation)
-        archive.update([(ind.objectives, ind.genome) for ind in offspring], generation)
+        score(offspring, generation)
         population = replacement(population, offspring, directions)
         record(generation)
 
-    return SearchResult(population, history, archive.entries, evaluations)
+    return SearchResult(population, history, archive.entries, history[-1].evaluations)

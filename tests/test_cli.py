@@ -340,7 +340,7 @@ def test_report_rebuilds_deleted_outputs(campaign_dir, tmp_path):
 
 
 @pytest.mark.parametrize("value", [-3, -2, 0, True, 1.5, 4.9, "2", "1000", None])
-@pytest.mark.parametrize("key", ["runs", "n_clients", "n_layers", "interval_max"])
+@pytest.mark.parametrize("key", ["runs", "n_clients", "n_layers", "interval_max", "pop", "generations"])
 def test_report_rejects_bad_run_count(campaign_dir, tmp_path, capsys, key, value):
     out = tmp_path / "campaign"
     shutil.copytree(campaign_dir, out)
@@ -397,6 +397,22 @@ def _first_row_cell(index, value):
     return corrupt
 
 
+def _last_row_cell(index, value):
+    """A corruption that sets one cell of the last data row."""
+    def corrupt(lines):
+        cells = lines[-1].split(",")
+        cells[index] = value
+        return [*lines[:-1], ",".join(cells)]
+    return corrupt
+
+
+def _extra_generation(lines):
+    """A well-formed row for one generation past the last, with its volumes."""
+    gen, hv, evals, hv_archive = lines[-1].split(",")
+    pop = int(evals) // (int(gen) + 1)
+    return [*lines, f"{int(gen) + 1},{hv},{int(evals) + pop},{hv_archive}"]
+
+
 @pytest.mark.parametrize(
     "name, corrupt",
     [
@@ -422,12 +438,22 @@ def _first_row_cell(index, value):
         ("pareto_run2.csv", _first_row_cell(0, "7")),
         # the last row, which summary.json copies, must be the last generation's
         ("hypervolume_run1.csv", lambda lines: [lines[0], *reversed(lines[1:])]),
+        # a generation the run never reached, which pareto_merged.csv would copy
+        ("pareto_run1.csv", _first_row_cell(1, "99")),
+        # evals follow from pop and gen; summary.json copies the last row's
+        ("hypervolume_run2.csv", _last_row_cell(2, "1")),
+        # a truncated run, whose final_hv would be an earlier generation's
+        ("hypervolume_run2.csv", lambda lines: lines[:-1]),
+        ("hypervolume_run1.csv", _extra_generation),
+        # a front that its own hypervolume trace does not describe
+        ("pareto_run2.csv", _first_row_cell(3, "0.99")),
     ],
     ids=[
         "non-numeric-cell", "short-row", "wrong-layer-count", "nan-f2", "f1-above-one",
         "nan-and-inf-last-row", "nan-hv", "inf-hv-archive", "hv-above-one", "negative-hv-archive",
         "no-evals", "negative-gen", "no-front-point", "no-generation-row", "other-run",
-        "reversed-generations",
+        "reversed-generations", "pareto-gen-past-last", "miscounted-last-row", "truncated-run",
+        "extra-generation", "front-off-its-trace",
     ],
 )
 def test_report_rejects_malformed_run_files(campaign_dir, tmp_path, capsys, name, corrupt):

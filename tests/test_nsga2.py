@@ -434,6 +434,34 @@ def test_run_zero_generations_returns_initial_population():
     assert result.evaluations == 6
 
 
+TABLE_BOUNDS = ((0, 7), (0, 7))
+# one (f1, f2) per genome of the 8 x 8 grid, looked up rather than computed
+TABLE = {g: (g[0] / 7, ((5 * g[0] + 3 * g[1]) % 8) / 7) for g in itertools.product(range(8), repeat=2)}
+
+
+def _table_problem(genomes, generation):
+    return [TABLE[g] for g in genomes]
+
+
+@pytest.mark.parametrize("pop, generations", [(4, 0), (4, 6), (6, 1), (10, 3), (12, 0), (20, 2)])
+def test_run_counts_one_population_per_generation(pop, generations):
+    params = nsga2.SearchParams(pop, generations, TABLE_BOUNDS, seed=pop + generations)
+    result = nsga2.run(_table_problem, params, MIN_MAX, metrics.HV_REFERENCE)
+    assert [r.generation for r in result.history] == list(range(generations + 1))
+    for g, record in enumerate(result.history):
+        assert record.evaluations == pop * (g + 1)
+    assert result.evaluations == pop * (generations + 1)
+
+    # the last batch gets one result too few, then one too many
+    for miscount, returned in ((lambda rows: rows[:-1], pop - 1), (lambda rows: rows + rows[:1], pop + 1)):
+        def evaluate(genomes, generation):
+            rows = _table_problem(genomes, generation)
+            return miscount(rows) if generation == generations else rows
+
+        with pytest.raises(ValueError, match=f"evaluate returned {returned} results for {pop} genomes"):
+            nsga2.run(evaluate, params, MIN_MAX, metrics.HV_REFERENCE)
+
+
 def test_run_deterministic_and_archive_monotone():
     bounds = ((-4, 12), (-4, 12))
 
