@@ -11,8 +11,6 @@ import numpy as np
 
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
-# image rows decoded per chunk by load_idx, through a 784 KiB byte buffer
-DECODE_ROWS = 1024
 
 TRAIN_IMAGES = "train-images-idx3-ubyte"
 TRAIN_LABELS = "train-labels-idx1-ubyte"
@@ -34,7 +32,9 @@ class DataConsistencyError(ValueError):
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Images as float rows in [0, 1], one row of 784 pixels per example."""
+    """One row of pixels per example, stored either as an IDX file's uint8
+    bytes v, which `pixels` decodes to float32 v / 255, or as float rows in
+    [0, 1], which `pixels` returns as they are."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -43,13 +43,14 @@ class LabeledDataset:
         if self.images.ndim != 2 or self.images.shape[0] != self.labels.shape[0]:
             raise ValueError("images and labels must have one row per example")
         _check_labels(self.labels)
-        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
+        # every byte is a pixel, so only float rows can lie outside [0, 1]
+        if self.images.dtype != np.uint8 and self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
             raise ValueError("pixels must lie in [0, 1]")
 
     @classmethod
     def _unchecked(cls, images: np.ndarray, labels: np.ndarray) -> "LabeledDataset":
         """A dataset whose rows are known to be valid: the rows of a checked
-        dataset, or pixels decoded as v / 255. Skips __post_init__."""
+        dataset, or an IDX file's bytes. Skips __post_init__."""
         ds = object.__new__(cls)
         object.__setattr__(ds, "images", images)
         object.__setattr__(ds, "labels", labels)
@@ -60,8 +61,17 @@ class LabeledDataset:
         return self.images.shape[0]
 
     def take(self, indices: np.ndarray) -> "LabeledDataset":
-        """The rows at a 1-D index array, gathered into a new dataset."""
+        """The rows at a 1-D index array, gathered into a new dataset that
+        stores them as this one does."""
         return LabeledDataset._unchecked(self.images[indices], self.labels[indices])
+
+    def pixels(self, index) -> np.ndarray:
+        """The pixels at `index` (a slice or an index array) as the model
+        reads them: bytes decoded to float32 v / 255, float rows unchanged."""
+        if self.images.dtype != np.uint8:
+            return self.images[index]
+        # the float32 scalar and dtype pin a float32 loop, bit-equal to astype(float32) / float32(255)
+        return np.divide(self.images[index], np.float32(255), dtype=np.float32)
 
 
 @dataclass(frozen=True)
@@ -77,8 +87,9 @@ class Shard:
         return self.rows.shape[0]
 
     def take(self, positions: np.ndarray) -> LabeledDataset:
-        """The shard's examples at `positions`, in that order."""
-        return self.source.take(self.rows[positions])
+        """The shard's examples at `positions`, in that order, as float rows."""
+        indices = self.rows[positions]
+        return LabeledDataset._unchecked(self.source.pixels(indices), self.source.labels[indices])
 
 
 def _check_labels(labels: np.ndarray) -> None:
@@ -101,10 +112,11 @@ def _read_header(raw: bytes, path, n_dims: int, expected_magic: int) -> tuple[in
 def load_idx(images_path, labels_path) -> LabeledDataset:
     """Load an MNIST-style IDX image/label file pair.
 
-    Pixels are scaled from byte value v to v / 255 and stored as float32.
-    The image payload is decoded in chunks of DECODE_ROWS rows through one
-    reused byte buffer into the result, so the file's bytes are never held
-    whole. Bytes past the payload the header promises are ignored. Raises
+    The image payload is read straight into one (count, 784) uint8 array,
+    which the dataset keeps as it is: `LabeledDataset.pixels` decodes byte v
+    to float32 v / 255 when a batch or a test chunk is used, so the pixels
+    are held once, at a quarter of their float32 size. Bytes past the
+    payload the header promises are ignored. Raises
     IdxFormatError on a bad magic number, a negative dimension, images that
     are not 28x28 or a label above 9, IdxLengthError on a truncated payload,
     and DataConsistencyError when the two files disagree on the example count.
@@ -128,14 +140,9 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
         if labels.max(initial=0) > 9:
             raise IdxFormatError(f"{labels_path}: labels must lie in [0, 9], got {labels.max()}")
 
-        images = np.empty((count, 784), np.float32)
-        buf = np.empty((min(count, DECODE_ROWS), 784), np.uint8)
-        for start in range(0, count, DECODE_ROWS):
-            chunk = buf[: min(DECODE_ROWS, count - start)]
-            if f.readinto(chunk) != chunk.nbytes:
-                raise IdxLengthError(f"{images_path}: payload ended before the {count * 784} bytes its header promises")
-            # the float32 scalar and dtype pin a float32 loop, bit-equal to astype(float32) / float32(255)
-            np.divide(chunk, np.float32(255), out=images[start : start + chunk.shape[0]], dtype=np.float32)
+        images = np.empty((count, 784), np.uint8)
+        if f.readinto(images) != images.nbytes:
+            raise IdxLengthError(f"{images_path}: payload ended before the {count * 784} bytes its header promises")
     return LabeledDataset._unchecked(images, labels)
 
 

@@ -238,7 +238,11 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[ParetoPoint]], list[
     gen = generations, a genome within bounds and f1, f2 in [0, 1]. A
     hypervolume file holds gen 0 .. generations in order, evals = pop *
     (gen + 1) and volumes in [0, 1], and its last hv equals the pareto
-    points' hypervolume exactly: both are one sweep over one front."""
+    points' hypervolume exactly: both are one sweep over one front. A row's
+    hv_archive is positive where its hv or the previous row's hv_archive is.
+    A generation log holds one line per hypervolume row, with the same gen,
+    evals and hypervolume (hv), and its last front1 holds the pareto file's
+    points, each as often."""
     out = Path(out_dir)
     path = out / MANIFEST_FILE
     if not path.is_file():
@@ -254,7 +258,7 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[ParetoPoint]], list[
     except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path} is not a campaign manifest: {type(exc).__name__}: {exc}") from exc
     runs, pop, generations = range(1, manifest["runs"] + 1), manifest["pop"], manifest["generations"]
-    missing = [name for k in runs for name in run_files(k)[:2] if not (out / name).is_file()]
+    missing = [name for k in runs for name in run_files(k) if not (out / name).is_file()]
     if missing:
         raise ValueError("missing campaign files: " + ", ".join(missing))
     run_fronts, hv_tables = [], []
@@ -273,14 +277,36 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[ParetoPoint]], list[
             hv_tables.append(read_hypervolume_csv(path))
             if [(gen, evals) for gen, _, evals, _ in hv_tables[-1]] != [(g, pop * (g + 1)) for g in range(generations + 1)]:
                 raise ValueError(f"needs one row per gen 0 .. {generations}, in order, with evals = {pop} * (gen + 1)")
+            positive = False
             for gen, hv, evals, hv_archive in hv_tables[-1]:
                 # both volumes lie in the unit box, and NaN fails the comparison too
                 if not (0.0 <= hv <= 1.0 and 0.0 <= hv_archive <= 1.0):
                     raise ValueError(f"row {gen},{hv},{evals},{hv_archive} needs volumes in [0, 1]")
+                # The archive weakly dominates the front and its own earlier
+                # entries, but the float sweep of a dominating set can come out
+                # an ulp smaller, so only positivity is checked. It survives
+                # rounding: the dominating set's first point with f2 > 0 adds a
+                # term of at least 2**-53 * f2, which cannot underflow while f2,
+                # a fraction of correct test images, is 0 or far above
+                # 2**-1022, and a float sum of non-negative terms is at least
+                # each term.
+                if (positive or hv > 0.0) and hv_archive == 0.0:
+                    raise ValueError(f"row {gen},{hv},{evals},{hv_archive} needs a positive hv_archive after a positive volume")
+                positive = hv_archive > 0.0
             if hv_tables[-1][-1][1] != (front_hv := hypervolume([p.as_pair() for p in run_fronts[-1]])):
                 raise ValueError(f"last hv {hv_tables[-1][-1][1]} differs from {front_hv}, the hypervolume of {run_files(k)[0]}")
+            path = out / run_files(k)[2]
+            log = [json.loads(line, parse_constant=_finite_float) for line in path.read_text(encoding="utf-8").splitlines()]
+            if [(row["gen"], row["evals"], row["hypervolume"]) for row in log] != [(g, e, hv) for g, hv, e, _ in hv_tables[-1]]:
+                raise ValueError(f"needs one line per row of {run_files(k)[1]}, with its gen, evals and hv")
+            front = sorted((p.comm, p.accuracy, p.genome.to_vector()) for p in run_fronts[-1])
+            if sorted((f1, f2, tuple(genes)) for f1, f2, genes in log[-1]["front1"]) != front:
+                raise ValueError(f"last front1 differs from the points of {run_files(k)[0]}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        # a log line of another shape: a missing key or a value of the wrong type
+        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from exc
     return manifest, bounds, run_fronts, hv_tables
 
 

@@ -333,6 +333,6 @@ def count_correct(params: ModelParams, ds) -> int:
     images per forward pass."""
     correct = 0
     for start in range(0, ds.count, EVAL_CHUNK):
-        probs = forward(params, ds.images[start : start + EVAL_CHUNK])
+        probs = forward(params, ds.pixels(slice(start, start + EVAL_CHUNK)))
         correct += int((probs.argmax(axis=1) == ds.labels[start : start + EVAL_CHUNK]).sum())
     return correct

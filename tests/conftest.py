@@ -442,6 +442,23 @@ def write_idx(ds: data.LabeledDataset, images_path, labels_path) -> None:
         f.write(ds.labels.astype(np.uint8).tobytes())
 
 
+def float32_load_idx(images_path, labels_path) -> data.LabeledDataset:
+    """Reference loader for well-formed files: the pixels decoded once, at
+    load, into float32 rows v / 255, in chunks of 1024 rows through one
+    reused byte buffer."""
+    decode_rows = 1024
+    with open(images_path, "rb") as f:
+        count = struct.unpack(">4i", f.read(16))[1]
+        images = np.empty((count, 784), np.float32)
+        buf = np.empty((min(count, decode_rows), 784), np.uint8)
+        for start in range(0, count, decode_rows):
+            chunk = buf[: min(decode_rows, count - start)]
+            assert f.readinto(chunk) == chunk.nbytes
+            np.divide(chunk, np.float32(255), out=images[start : start + chunk.shape[0]], dtype=np.float32)
+    labels = np.frombuffer(Path(labels_path).read_bytes(), np.uint8, offset=8)[:count].astype(np.int64)
+    return data.LabeledDataset(images, labels)
+
+
 def copying_partition(ds: data.LabeledDataset, n_clients: int, seed: int) -> tuple[data.LabeledDataset, ...]:
     """Reference partition: the same shards as data.partition, each a copy of
     its rows rather than a row-index view."""

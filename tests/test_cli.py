@@ -406,6 +406,16 @@ def _last_row_cell(index, value):
     return corrupt
 
 
+def _log_line(index, edit):
+    """A corruption that applies `edit` to one generation-log line's object."""
+    def corrupt(lines):
+        row = json.loads(lines[index])
+        edit(row)
+        lines[index] = json.dumps(row)
+        return lines
+    return corrupt
+
+
 def _extra_generation(lines):
     """A well-formed row for one generation past the last, with its volumes."""
     gen, hv, evals, hv_archive = lines[-1].split(",")
@@ -447,20 +457,46 @@ def _extra_generation(lines):
         ("hypervolume_run1.csv", _extra_generation),
         # a front that its own hypervolume trace does not describe
         ("pareto_run2.csv", _first_row_cell(3, "0.99")),
+        # an archive that lost the front's volume, which summary.json copies
+        ("hypervolume_run2.csv", _last_row_cell(3, "0.0")),
+        ("hypervolume_run1.csv", _first_row_cell(3, "0.0")),
+        # a run whose log is missing, short, or describes another run
+        ("generations_run2.jsonl", lambda lines: None),
+        ("generations_run1.jsonl", lambda lines: lines[:-1]),
+        ("generations_run2.jsonl", lambda lines: [*lines, lines[-1]]),
+        ("generations_run1.jsonl", _log_line(0, lambda row: row.update(gen=1))),
+        ("generations_run2.jsonl", _log_line(-1, lambda row: row.update(evals=1))),
+        ("generations_run1.jsonl", _log_line(-1, lambda row: row.update(hypervolume=0.5))),
+        ("generations_run2.jsonl", _log_line(-1, lambda row: row["front1"].pop())),
+        # a multiset: one more copy of a front point is another front
+        ("generations_run1.jsonl", _log_line(-1, lambda row: row["front1"].append(row["front1"][0]))),
+        ("generations_run2.jsonl", _log_line(-1, lambda row: row["front1"][0].__setitem__(1, 0.5))),
+        # lines that are no JSON objects of the log's shape
+        ("generations_run1.jsonl", lambda lines: [*lines[:-1], "abc"]),
+        ("generations_run2.jsonl", lambda lines: [*lines[:-1], "[1, 2]"]),
+        ("generations_run1.jsonl", _log_line(-1, lambda row: row.pop("front1"))),
+        ("generations_run2.jsonl", _log_line(-1, lambda row: row.update(hypervolume=float("nan")))),
     ],
     ids=[
         "non-numeric-cell", "short-row", "wrong-layer-count", "nan-f2", "f1-above-one",
         "nan-and-inf-last-row", "nan-hv", "inf-hv-archive", "hv-above-one", "negative-hv-archive",
         "no-evals", "negative-gen", "no-front-point", "no-generation-row", "other-run",
         "reversed-generations", "pareto-gen-past-last", "miscounted-last-row", "truncated-run",
-        "extra-generation", "front-off-its-trace",
+        "extra-generation", "front-off-its-trace", "zero-last-hv-archive", "zero-first-hv-archive",
+        "missing-log", "short-log", "extra-log-line", "log-gen-off", "log-evals-off", "log-hv-off",
+        "log-front-short", "log-front-extra-copy", "log-front-f2-off", "log-line-not-json",
+        "log-line-not-an-object", "log-line-without-front", "log-nan-hv",
     ],
 )
 def test_report_rejects_malformed_run_files(campaign_dir, tmp_path, capsys, name, corrupt):
     out = tmp_path / "campaign"
     shutil.copytree(campaign_dir, out)
     path = out / name
-    path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+    lines = corrupt(path.read_text().splitlines())
+    if lines is None:
+        path.unlink()
+    else:
+        path.write_text("\n".join(lines) + "\n")
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert run_cli("report", out) == 2
     assert name in capsys.readouterr().err

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flcop import data
-from conftest import copying_partition, make_synthetic, write_idx
+from flcop import data, federation, nn
+from flcop.objectives import EvalEnv, Genome
+from conftest import copying_partition, float32_load_idx, make_synthetic, write_idx
 
 
 def test_idx_round_trip(tmp_path):
     ds = make_synthetic(50, 4)
     write_idx(ds, tmp_path / "imgs", tmp_path / "labs")
     back = data.load_idx(tmp_path / "imgs", tmp_path / "labs")
-    assert np.array_equal(back.images, ds.images)
+    assert np.array_equal(back.pixels(slice(None)), ds.images)
     assert np.array_equal(back.labels, ds.labels)
 
 
@@ -27,9 +28,8 @@ def test_bad_magic_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("count, payload", [(2, 784), (23, 23 * 784 - 1)])
-def test_truncated_payload_rejected(tmp_path, monkeypatch, count, payload):
-    # with 7-row chunks, the second case ends one byte short inside the last chunk
-    monkeypatch.setattr(data, "DECODE_ROWS", 7)
+def test_truncated_payload_rejected(tmp_path, count, payload):
+    # the second case ends one byte short inside the last image
     (tmp_path / "imgs").write_bytes(struct.pack(">4i", data.IMAGE_MAGIC, count, 28, 28) + bytes(payload))
     (tmp_path / "labs").write_bytes(struct.pack(">2i", data.LABEL_MAGIC, count) + bytes(count))
     with pytest.raises(data.IdxLengthError, match=f"header promises {count * 784}"):
@@ -65,8 +65,9 @@ def test_pixels_scaled_to_unit_interval(tmp_path):
     ds = make_synthetic(20, 5)
     write_idx(ds, tmp_path / "imgs", tmp_path / "labs")
     back = data.load_idx(tmp_path / "imgs", tmp_path / "labs")
-    assert back.images.min() >= 0.0 and back.images.max() <= 1.0
-    assert back.images.dtype == np.float32
+    decoded = back.pixels(slice(None))
+    assert decoded.min() >= 0.0 and decoded.max() <= 1.0
+    assert decoded.dtype == np.float32
 
 
 def _write_pixels(tmp_path, pixels: np.ndarray, count: int, trailing: bytes = b"") -> tuple:
@@ -78,22 +79,69 @@ def _write_pixels(tmp_path, pixels: np.ndarray, count: int, trailing: bytes = b"
 
 
 @pytest.mark.parametrize("count", [7, 23, 64])
-def test_decode_equals_float32_division_for_every_byte(tmp_path, monkeypatch, count):
-    # 7 rows per chunk: 7 is one whole chunk, 23 and 64 end in a partial one
-    monkeypatch.setattr(data, "DECODE_ROWS", 7)
+def test_decode_equals_float32_division_for_every_byte(tmp_path, count):
     pixels = (np.arange(count * 784) * 7 % 256).astype(np.uint8).reshape(count, 784)
     assert set(np.unique(pixels)) == set(range(256))
     images, labels = _write_pixels(tmp_path, pixels, count, trailing=b"\xff" * 1000)
     back = data.load_idx(images, labels)
     expected = pixels.astype(np.float32) / np.float32(255)
-    assert back.images.dtype == np.float32 and back.images.shape == (count, 784)
-    assert back.images.tobytes() == expected.tobytes()
+    decoded = back.pixels(slice(None))
+    assert decoded.dtype == np.float32 and decoded.shape == (count, 784)
+    assert decoded.tobytes() == expected.tobytes()
     assert np.array_equal(back.labels, np.arange(count) % 10)
 
 
+def _byte_files(tmp_path, count: int, seed: int) -> tuple:
+    """An IDX pair of `count` images of random bytes, holding every byte value."""
+    pixels = np.random.default_rng(seed).integers(0, 256, (count, 784), dtype=np.uint8)
+    assert set(np.unique(pixels)) == set(range(256))
+    (tmp_path / str(seed)).mkdir()
+    return _write_pixels(tmp_path / str(seed), pixels, count)
+
+
+def test_batches_and_test_chunks_decode_as_the_float32_loader(tmp_path, monkeypatch):
+    paths = _byte_files(tmp_path, 600, 1)
+    ds, oracle = data.load_idx(*paths), float32_load_idx(*paths)
+    assert ds.images.dtype == np.uint8 and oracle.images.dtype == np.float32
+    rng = np.random.default_rng(2)
+    for shard in data.partition(ds, 3, seed=4):
+        for positions in (np.arange(shard.count), rng.integers(0, shard.count, 64)):
+            batch = shard.take(positions)
+            assert batch.images.dtype == np.float32
+            assert batch.images.tobytes() == oracle.images[shard.rows[positions]].tobytes()
+            assert batch.labels.tobytes() == oracle.labels[shard.rows[positions]].tobytes()
+    # 600 rows: two whole EVAL_CHUNKs and a partial one
+    seen = []
+    real_forward = nn.forward
+    monkeypatch.setattr(nn, "forward", lambda params, x: seen.append(x) or real_forward(params, x))
+    model = nn.build_model(nn.fully_connected(), 0)
+    assert nn.count_correct(model, ds) == nn.count_correct(model, oracle)
+    chunks = len(seen) // 2
+    assert [x.shape[0] for x in seen[:chunks]] == [256, 256, 88]
+    assert all(x.dtype == np.float32 for x in seen)
+    assert [x.tobytes() for x in seen[:chunks]] == [x.tobytes() for x in seen[chunks:]]
+
+
+TOY_CONV = nn.ModelSpec((28, 28, 1), (nn.Conv2D(3, 1, 2), nn.MaxPool2x2(), nn.Flatten(), nn.Dense(392, 10)))
+
+
+@pytest.mark.parametrize("spec", [nn.fully_connected(), TOY_CONV], ids=["fc", "toy-conv"])
+def test_training_on_bytes_equals_training_on_float32_rows(tmp_path, spec):
+    train_paths, test_paths = _byte_files(tmp_path, 200, 5), _byte_files(tmp_path, 300, 6)
+    genome = Genome(3, 2, (10,) * spec.n_arrays, (8,) * spec.n_arrays)
+    outcomes = []
+    for load in (data.load_idx, float32_load_idx):
+        train, test = load(*train_paths), load(*test_paths)
+        env = EvalEnv(spec, data.partition(train, 4, seed=1), test, nn.TrainConfig(0.1, 16), epochs=2, seed=0)
+        outcomes.append(federation.run_federated_training(genome, env, seed=9))
+    got, want = outcomes
+    assert [a.tobytes() for a in got.global_model.arrays] == [a.tobytes() for a in want.global_model.arrays]
+    assert got.ledger == want.ledger and got.ledger.rounds_executed == 4
+    assert got.n_correct == want.n_correct
+
+
 def test_payload_shrinking_while_read_rejected(tmp_path, monkeypatch):
-    # a file cut short after its size was read ends inside a later chunk
-    monkeypatch.setattr(data, "DECODE_ROWS", 7)
+    # a file cut short after its size was read ends before its payload does
     images, labels = _write_pixels(tmp_path, np.zeros((20, 784), np.uint8), 23)
     real_fstat = data.os.fstat
     monkeypatch.setattr(data.os, "fstat", lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 3 * 784))
@@ -110,8 +158,9 @@ def test_label_above_nine_rejected(tmp_path):
 
 @pytest.mark.parametrize("count", [3000, 6000])
 def test_load_holds_one_chunk_beside_the_result(tmp_path, count):
-    """Beyond the decoded arrays, loading allocates about one chunk buffer,
-    whatever the image count: the file's bytes are never held whole."""
+    """Beyond the pixel bytes and labels it returns, loading allocates
+    about the label file's bytes, whatever the image count: no float copy
+    and no chunk buffer."""
     pixels = (np.arange(count * 784) % 251).astype(np.uint8)
     images, labels = _write_pixels(tmp_path, pixels, count)
     tracemalloc.start()
@@ -122,7 +171,7 @@ def test_load_holds_one_chunk_beside_the_result(tmp_path, count):
         tracemalloc.stop()
     extra = peak - back.images.nbytes - back.labels.nbytes
     # the slack covers the label file's bytes and the interpreter's own small allocations
-    assert extra < data.DECODE_ROWS * 784 + 128 * 1024, extra
+    assert extra < 128 * 1024, extra
 
 
 def _rows(shard) -> data.LabeledDataset:
@@ -262,3 +311,10 @@ def test_external_dataset_still_checked():
     bright[1, 7] = 1.5
     with pytest.raises(ValueError, match="pixels"):
         data.LabeledDataset(bright, labels)
+
+
+def test_caller_built_byte_rows_decode_as_loaded_ones():
+    # bytes above 1 are pixels, not out-of-range floats
+    images = np.array([[0] * 782 + [1, 255]], np.uint8)
+    ds = data.LabeledDataset(images, np.array([3]))
+    assert ds.pixels(slice(None)).tobytes() == (images.astype(np.float32) / np.float32(255)).tobytes()
