@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -158,10 +159,13 @@ def _fmt(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(int(value))
 
 
-def write_csv(path, header: str, rows: Iterable[Sequence]) -> None:
+def _csv_text(header: str, rows: Iterable[Sequence]) -> str:
     """One header line, then one line per row; repr round-trips every float."""
-    lines = [header, *(",".join(_fmt(v) for v in row) for row in rows)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return "\n".join([header, *(",".join(_fmt(v) for v in row) for row in rows)]) + "\n"
+
+
+def write_csv(path, header: str, rows: Iterable[Sequence]) -> None:
+    Path(path).write_text(_csv_text(header, rows), encoding="utf-8", newline="\n")
 
 
 def read_csv(path) -> list[list[str]]:
@@ -183,20 +187,7 @@ def write_pareto_csv(path, points: Sequence[ParetoPoint], n_layers: int) -> None
     write_csv(path, pareto_header(n_layers), rows)
 
 
-def read_pareto_csv(path) -> list[ParetoPoint]:
-    return [
-        ParetoPoint(float(f1), float(f2), Genome.from_vector([int(c) for c in genes]), int(run_id), int(gen))
-        for run_id, gen, f1, f2, *genes in read_csv(path)
-    ]
-
-
 HV_HEADER = "gen,hv,evals,hv_archive"
-
-
-def read_hypervolume_csv(path) -> list[tuple[int, float, int, float]]:
-    return [(int(gen), float(hv), int(evals), float(hv_archive)) for gen, hv, evals, hv_archive in read_csv(path)]
-
-
 MANIFEST_FILE = "campaign.json"
 MERGED_FILES = ("pareto_merged.csv", "genome_stats.csv", "summary.json")
 
@@ -206,20 +197,24 @@ def run_files(run_id: int) -> tuple[str, str, str]:
     return f"pareto_run{run_id}.csv", f"hypervolume_run{run_id}.csv", f"generations_run{run_id}.jsonl"
 
 
+def _run_texts(run_id: int, rows: Sequence[tuple], n_layers: int) -> tuple[str, str, str]:
+    """The texts of run_files(run_id) from one (gen, front, hv, evals,
+    hv_archive) row per generation, where a front lists ((f1, f2), genes)
+    pairs as nsga2.GenerationRecord does: the last front sorted by (f1, f2,
+    genes), the hypervolume trace, and one JSON line per row."""
+    gen, front = rows[-1][:2]
+    pareto = _csv_text(pareto_header(n_layers), ([run_id, gen, *objs, *genes] for objs, genes in sorted(front)))
+    trace = _csv_text(HV_HEADER, [(gen, hv, evals, hv_archive) for gen, _, hv, evals, hv_archive in rows])
+    log = ({"gen": gen, "front1": [[*objs, genes] for objs, genes in front], "hypervolume": hv, "evals": evals}
+           for gen, front, hv, evals, _ in rows)
+    return pareto, trace, "".join(json.dumps(line) + "\n" for line in log)
+
+
 def write_run(out_dir, run_id: int, history: Sequence, n_layers: int) -> None:
-    """Write one run's files into out_dir from its nsga2.GenerationRecords:
-    the last record's first front, which is the final population's, sorted
-    by (f1, f2, genome), the hypervolume trace, and one JSON line per record."""
-    out = Path(out_dir)
-    pareto_name, hv_name, log_name = run_files(run_id)
-    gen = history[-1].generation
-    front = [ParetoPoint(f1, f2, Genome.from_vector(genes), run_id, gen) for (f1, f2), genes in history[-1].front]
-    front.sort(key=lambda p: (p.comm, p.accuracy, p.genome.to_vector()))
-    write_pareto_csv(out / pareto_name, front, n_layers)
-    write_csv(out / hv_name, HV_HEADER, [(r.generation, r.hv_front, r.evaluations, r.hv_archive) for r in history])
-    log = [{"gen": r.generation, "front1": [[f1, f2, list(genes)] for (f1, f2), genes in r.front],
-            "hypervolume": r.hv_front, "evals": r.evaluations} for r in history]
-    (out / log_name).write_text("".join(json.dumps(row) + "\n" for row in log), encoding="utf-8", newline="\n")
+    """Write one run's files into out_dir from its nsga2.GenerationRecords."""
+    rows = [(r.generation, r.front, r.hv_front, r.evaluations, r.hv_archive) for r in history]
+    for name, text in zip(run_files(run_id), _run_texts(run_id, rows, n_layers)):
+        (Path(out_dir) / name).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _finite_float(text: str) -> float:
@@ -234,15 +229,12 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[ParetoPoint]], list[
     campaign in out_dir, after every file has been checked; a missing or
     malformed file raises ValueError naming it. The manifest's runs,
     n_clients, n_layers, interval_max, pop and generations are integers of
-    at least 1. A pareto file holds one or more points of its run, each with
-    gen = generations, a genome within bounds and f1, f2 in [0, 1]. A
-    hypervolume file holds gen 0 .. generations in order, evals = pop *
-    (gen + 1) and volumes in [0, 1], and its last hv equals the pareto
-    points' hypervolume exactly: both are one sweep over one front. A row's
-    hv_archive is positive where its hv or the previous row's hv_archive is.
-    A generation log holds one line per hypervolume row, with the same gen,
-    evals and hypervolume (hv), and its last front1 holds the pareto file's
-    points, each as often."""
+    at least 1. A run's generation log and hypervolume file hold one line per
+    gen 0 .. generations; every front in the log holds one or more points,
+    each with a genome within bounds and f1, f2 in [0, 1]; every hv_archive
+    lies in [0, 1], positive after a positive volume. Each run file must then
+    be exactly what `optimize` writes for the fronts in its log, with evals =
+    pop * (gen + 1) and each hv its front's hypervolume."""
     out = Path(out_dir)
     path = out / MANIFEST_FILE
     if not path.is_file():
@@ -264,24 +256,30 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[ParetoPoint]], list[
     run_fronts, hv_tables = [], []
     try:
         for k in runs:
-            path = out / run_files(k)[0]
-            run_fronts.append(read_pareto_csv(path))
-            if {(p.run_id, p.generation) for p in run_fronts[-1]} != {(k, generations)}:
-                raise ValueError(f"needs at least one row, each with run {k} and gen {generations}")
-            for point in run_fronts[-1]:
-                point.genome.validate(bounds)
-                # both objectives are fractions; NaN fails the comparison too
-                if not (0.0 <= point.comm <= 1.0 and 0.0 <= point.accuracy <= 1.0):
-                    raise ValueError(f"f1 {point.comm}, f2 {point.accuracy}: need both in [0, 1]")
-            path = out / run_files(k)[1]
-            hv_tables.append(read_hypervolume_csv(path))
-            if [(gen, evals) for gen, _, evals, _ in hv_tables[-1]] != [(g, pop * (g + 1)) for g in range(generations + 1)]:
-                raise ValueError(f"needs one row per gen 0 .. {generations}, in order, with evals = {pop} * (gen + 1)")
+            paths = [out / name for name in run_files(k)]
+            path = paths[2]
+            log = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+            # canonical types: a value of another type renders differently below
+            fronts = [[((float(f1), float(f2)), tuple(map(int, genes))) for f1, f2, genes in row["front1"]] for row in log]
+            if len(fronts) != generations + 1 or not all(fronts):
+                raise ValueError(f"needs {generations + 1} lines, one per gen 0 .. {generations}, each with a front1 point")
+            points = [p for front in fronts for p in front]
+            # one comparison over every front's points; a ragged genome list
+            # or one of another length raises ValueError, and NaN fails too
+            lo, hi = np.array(bounds.coordinate_ranges()).T
+            pairs, genomes = np.array([p[0] for p in points]), np.array([p[1] for p in points]).reshape(len(points), len(lo))
+            inside = ((0.0 <= pairs) & (pairs <= 1.0)).all(axis=1) & ((lo <= genomes) & (genomes <= hi)).all(axis=1)
+            if not inside.all():
+                raise ValueError(f"front1 point {points[inside.argmin()]} needs f1, f2 in [0, 1] and a genome within {bounds}")
+            hvs = [hypervolume([objs for objs, _ in front]) for front in fronts]
+            path = paths[1]
+            archive = [float(hv_archive) for _, _, _, hv_archive in read_csv(path)]
+            if len(archive) != generations + 1:
+                raise ValueError(f"needs {generations + 1} rows, one per gen 0 .. {generations}")
             positive = False
-            for gen, hv, evals, hv_archive in hv_tables[-1]:
-                # both volumes lie in the unit box, and NaN fails the comparison too
-                if not (0.0 <= hv <= 1.0 and 0.0 <= hv_archive <= 1.0):
-                    raise ValueError(f"row {gen},{hv},{evals},{hv_archive} needs volumes in [0, 1]")
+            for gen, (hv, hv_archive) in enumerate(zip(hvs, archive)):
+                if not 0.0 <= hv_archive <= 1.0:  # NaN fails too
+                    raise ValueError(f"gen {gen} needs an hv_archive in [0, 1], got {hv_archive}")
                 # The archive weakly dominates the front and its own earlier
                 # entries, but the float sweep of a dominating set can come out
                 # an ulp smaller, so only positivity is checked. It survives
@@ -291,21 +289,23 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[ParetoPoint]], list[
                 # 2**-1022, and a float sum of non-negative terms is at least
                 # each term.
                 if (positive or hv > 0.0) and hv_archive == 0.0:
-                    raise ValueError(f"row {gen},{hv},{evals},{hv_archive} needs a positive hv_archive after a positive volume")
+                    raise ValueError(f"gen {gen} needs a positive hv_archive after a positive volume, hv {hv}")
                 positive = hv_archive > 0.0
-            if hv_tables[-1][-1][1] != (front_hv := hypervolume([p.as_pair() for p in run_fronts[-1]])):
-                raise ValueError(f"last hv {hv_tables[-1][-1][1]} differs from {front_hv}, the hypervolume of {run_files(k)[0]}")
-            path = out / run_files(k)[2]
-            log = [json.loads(line, parse_constant=_finite_float) for line in path.read_text(encoding="utf-8").splitlines()]
-            if [(row["gen"], row["evals"], row["hypervolume"]) for row in log] != [(g, e, hv) for g, hv, e, _ in hv_tables[-1]]:
-                raise ValueError(f"needs one line per row of {run_files(k)[1]}, with its gen, evals and hv")
-            front = sorted((p.comm, p.accuracy, p.genome.to_vector()) for p in run_fronts[-1])
-            if sorted((f1, f2, tuple(genes)) for f1, f2, genes in log[-1]["front1"]) != front:
-                raise ValueError(f"last front1 differs from the points of {run_files(k)[0]}")
+            rows = [(gen, front, hv, pop * (gen + 1), hv_archive)
+                    for gen, (front, hv, hv_archive) in enumerate(zip(fronts, hvs, archive))]
+            # the log first: it is the source of the other two
+            for path, text in reversed(list(zip(paths, _run_texts(k, rows, bounds.n_layers)))):
+                disk, text = path.read_bytes(), text.encode("utf-8")
+                if disk != text:
+                    line = next(n for n, (a, b) in enumerate(zip_longest(disk.split(b"\n"), text.split(b"\n")), 1) if a != b)
+                    raise ValueError(f"line {line} is not what optimize writes for the fronts in {paths[2].name}")
+            run_fronts.append([ParetoPoint(*objs, Genome.from_vector(genes), k, generations)
+                               for objs, genes in sorted(fronts[-1])])
+            hv_tables.append([(gen, hv, evals, hv_archive) for gen, _, hv, evals, hv_archive in rows])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    except (KeyError, TypeError) as exc:
-        # a log line of another shape: a missing key or a value of the wrong type
+    except (KeyError, TypeError, OverflowError) as exc:
+        # a log line of another shape: a missing key, a wrong type, or an integer too large for a float
         raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from exc
     return manifest, bounds, run_fronts, hv_tables
 

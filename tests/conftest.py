@@ -166,6 +166,19 @@ def filter_sweep_hypervolume(points, reference=metrics.HV_REFERENCE) -> float:
     return area
 
 
+def read_pareto_csv(path) -> list[metrics.ParetoPoint]:
+    """The points of a pareto file, as metrics.write_pareto_csv wrote them."""
+    return [
+        metrics.ParetoPoint(float(f1), float(f2), Genome.from_vector([int(c) for c in genes]), int(run_id), int(gen))
+        for run_id, gen, f1, f2, *genes in metrics.read_csv(path)
+    ]
+
+
+def read_hypervolume_csv(path) -> list[tuple[int, float, int, float]]:
+    """The (gen, hv, evals, hv_archive) rows of a hypervolume file."""
+    return [(int(gen), float(hv), int(evals), float(hv_archive)) for gen, hv, evals, hv_archive in metrics.read_csv(path)]
+
+
 def bounds_loop_mutation(vec, bounds, rng, mutation_prob):
     """Reference uniform mutation: bound arrays rebuilt from the pairs on
     every call, then one mask draw and one integer draw per coordinate."""

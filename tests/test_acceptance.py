@@ -13,7 +13,7 @@ import pytest
 
 from flcop import cli, codec, metrics, nn, nsga2
 from flcop.objectives import Bounds, Genome, comm_fraction
-from conftest import LayerCompressionSpec, find_mnist_dir, payload_bits, random_genome, requires_mnist
+from conftest import LayerCompressionSpec, find_mnist_dir, payload_bits, random_genome, read_pareto_csv, requires_mnist
 from test_nn import TOY_CONV, TOY_FC, _finite_difference_check
 
 
@@ -190,7 +190,7 @@ def desk_fc_campaign(tmp_path_factory):
 @requires_mnist
 def test_criterion_7_desk_scale_headline_result(desk_fc_campaign):
     out, elapsed = desk_fc_campaign
-    merged = metrics.read_pareto_csv(out / "pareto_merged.csv")
+    merged = read_pareto_csv(out / "pareto_merged.csv")
     winners = [p for p in merged if p.comm <= 0.05 and p.accuracy >= 0.85]
     assert elapsed < 1800.0
     assert winners, f"no merged-front point with f1 <= 0.05 and f2 >= 0.85 in {[(p.comm, p.accuracy) for p in merged]}"

@@ -10,7 +10,7 @@ import pytest
 
 from flcop import cli, data, metrics, objectives
 from flcop.objectives import Genome
-from conftest import LayerCompressionSpec, make_synthetic, payload_bits, write_idx
+from conftest import LayerCompressionSpec, make_synthetic, payload_bits, read_pareto_csv, write_idx
 
 
 def run_cli(*argv):
@@ -305,7 +305,7 @@ def test_campaign_outputs(campaign_dir):
     assert header == "run,gen,f1,f2,m,E,mu_1,mu_2,mu_3,mu_4,b_1,b_2,b_3,b_4"
     assert (campaign_dir / "hypervolume_run1.csv").read_text().splitlines()[0] == "gen,hv,evals,hv_archive"
 
-    merged = metrics.read_pareto_csv(campaign_dir / "pareto_merged.csv")
+    merged = read_pareto_csv(campaign_dir / "pareto_merged.csv")
     assert merged
     summary = json.loads((campaign_dir / "summary.json").read_text())
     assert summary["runs"] == 2
@@ -476,6 +476,17 @@ def _extra_generation(lines):
         ("generations_run2.jsonl", lambda lines: [*lines[:-1], "[1, 2]"]),
         ("generations_run1.jsonl", _log_line(-1, lambda row: row.pop("front1"))),
         ("generations_run2.jsonl", _log_line(-1, lambda row: row.update(hypervolume=float("nan")))),
+        # a middle generation's front: its volume, its point count and its bounds
+        ("generations_run2.jsonl", _log_line(1, lambda row: row["front1"][0].__setitem__(1, 0.1))),
+        ("generations_run1.jsonl", _log_line(1, lambda row: row["front1"].pop(0))),
+        ("generations_run2.jsonl", _log_line(1, lambda row: row["front1"][0][2].__setitem__(0, 99))),
+        ("generations_run1.jsonl", _log_line(1, lambda row: row["front1"][0].__setitem__(0, 10**400))),
+        # values, or an order, that Python reads as equal but optimize writes otherwise
+        ("generations_run1.jsonl", _log_line(1, lambda row: row.update(gen=1.0))),
+        ("generations_run2.jsonl", _log_line(1, lambda row: row.update(gen=True))),
+        ("generations_run1.jsonl", _log_line(1, lambda row: row.update(evals=float(row["evals"])))),
+        ("hypervolume_run2.csv", lambda lines: [lines[0], re.sub(r"^(\d+,[^,]+,)", r"\g<1>0", lines[1]), *lines[2:]]),
+        ("pareto_run1.csv", lambda lines: [lines[0], *reversed(lines[1:])]),
     ],
     ids=[
         "non-numeric-cell", "short-row", "wrong-layer-count", "nan-f2", "f1-above-one",
@@ -485,7 +496,9 @@ def _extra_generation(lines):
         "extra-generation", "front-off-its-trace", "zero-last-hv-archive", "zero-first-hv-archive",
         "missing-log", "short-log", "extra-log-line", "log-gen-off", "log-evals-off", "log-hv-off",
         "log-front-short", "log-front-extra-copy", "log-front-f2-off", "log-line-not-json",
-        "log-line-not-an-object", "log-line-without-front", "log-nan-hv",
+        "log-line-not-an-object", "log-line-without-front", "log-nan-hv", "log-middle-f2-off",
+        "log-middle-front-short", "log-middle-m-out-of-bounds", "log-middle-f1-beyond-float", "log-gen-float",
+        "log-gen-true", "log-evals-float", "evals-zero-padded", "pareto-rows-reversed",
     ],
 )
 def test_report_rejects_malformed_run_files(campaign_dir, tmp_path, capsys, name, corrupt):

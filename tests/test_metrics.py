@@ -1,17 +1,19 @@
 import json
 import math
+import tempfile
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flcop import metrics
+from flcop import metrics, nsga2
 from flcop.metrics import ParetoPoint, hypervolume, merge_pseudo_optimal
 from flcop.objectives import Bounds, Genome
-from conftest import filter_sweep_hypervolume
+from conftest import filter_sweep_hypervolume, read_hypervolume_csv, read_pareto_csv
 
 
 def _point(f1, f2, run_id=1, gen=0, seed=0):
@@ -266,12 +268,41 @@ def test_export_and_read_back(tmp_path):
     assert (tmp_path / "pareto_run1.csv").read_text().splitlines()[0] == "run,gen,f1,f2,m,E,mu_1,mu_2,b_1,b_2"
     assert (tmp_path / "hypervolume_run1.csv").read_text().splitlines()[0] == "gen,hv,evals,hv_archive"
 
-    back = metrics.read_pareto_csv(tmp_path / "pareto_run1.csv")
+    back = read_pareto_csv(tmp_path / "pareto_run1.csv")
     assert back == fronts[0]
-    assert metrics.read_hypervolume_csv(tmp_path / "hypervolume_run1.csv") == hv_tables[0]
+    assert read_hypervolume_csv(tmp_path / "hypervolume_run1.csv") == hv_tables[0]
 
-    merged = metrics.read_pareto_csv(tmp_path / "pareto_merged.csv")
+    merged = read_pareto_csv(tmp_path / "pareto_merged.csv")
     assert merged == merge_pseudo_optimal(fronts)
     loaded = json.loads((tmp_path / "summary.json").read_text())
     assert loaded["merged_front_size"] == summary["merged_front_size"]
     assert loaded["per_run"][0]["evaluations"] == 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pop=st.sampled_from([4, 6, 8]),
+    generations=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    # f2 is a fraction of correct test images, as the hv_archive rule assumes
+    table=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 2000).map(lambda c: c / 2000)), min_size=1, max_size=12),
+)
+def test_read_campaign_accepts_what_write_run_writes(pop, generations, seed, table):
+    # read_campaign renders each hv anew from the front it parses, so every
+    # run file passes only if hypervolume of each parsed front equals the
+    # engine's hv_front bit for bit
+    bounds = Bounds(3, 1, 5)
+
+    def evaluate(genomes, generation):
+        return [table[sum(g * 7**i for i, g in enumerate(genome)) % len(table)] for genome in genomes]
+
+    params = nsga2.SearchParams(pop, generations, tuple(bounds.coordinate_ranges()), seed=seed)
+    history = nsga2.run(evaluate, params, hv_reference=metrics.HV_REFERENCE).history
+    manifest = {"runs": 1, "n_clients": 3, "n_layers": 1, "interval_max": 5, "pop": pop, "generations": generations}
+    with tempfile.TemporaryDirectory() as out:
+        metrics.write_json(Path(out) / metrics.MANIFEST_FILE, manifest)
+        metrics.write_run(out, 1, history, bounds.n_layers)
+        _, _, run_fronts, hv_tables = metrics.read_campaign(out)
+    assert hv_tables == [[(r.generation, r.hv_front, r.evaluations, r.hv_archive) for r in history]]
+    final = sorted((f1, f2, genes) for (f1, f2), genes in history[-1].front)
+    assert [(p.comm, p.accuracy, p.genome.to_vector()) for p in run_fronts[0]] == final
