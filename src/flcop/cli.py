@@ -426,10 +426,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def report(out: Path) -> int:
     """Build the merged outputs of the campaign in out from its checked files."""
     try:
-        manifest, bounds, run_fronts, hv_tables = metrics.read_campaign(out)
+        campaign = metrics.read_campaign(out)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    summary = metrics.export_campaign(out, run_fronts, hv_tables, bounds, manifest)
+    summary = metrics.export_campaign(out, *campaign)
     print(f"merged front: {summary['merged_front_size']} points, best f2 {summary['best_f2']}, min f1 {summary['min_f1']}")
     return EXIT_OK
 

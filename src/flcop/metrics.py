@@ -4,8 +4,10 @@ Objective convention throughout: f1 (communication fraction) is minimized,
 f2 (accuracy) is maximized, both live in [0, 1], and the hypervolume
 reference point (1.0, 0.0) is the worst corner of that box.
 
-It also owns the campaign directory: its file names, its writers, and
-`read_campaign`, which checks every file before anything is built from it.
+It also owns the campaign directory and a run's one in-memory form, a list
+of `GenerationRecord`s: `write_run` writes a run's records as its files,
+`read_campaign` checks every file and returns the records that were written,
+and `export_campaign` builds the merged outputs from them.
 """
 
 from __future__ import annotations
@@ -178,13 +180,28 @@ def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8", newline="\n")
 
 
-def pareto_header(n_layers: int) -> str:
-    return ",".join(["run", "gen", "f1", "f2", *Bounds(1, n_layers).coordinate_names()])
+def _pareto_text(points: Iterable[ParetoPoint], n_layers: int) -> str:
+    header = ",".join(["run", "gen", "f1", "f2", *Bounds(1, n_layers).coordinate_names()])
+    return _csv_text(header, ([p.run_id, p.generation, p.comm, p.accuracy, *p.genome.to_vector()] for p in points))
 
 
-def write_pareto_csv(path, points: Sequence[ParetoPoint], n_layers: int) -> None:
-    rows = ([p.run_id, p.generation, p.comm, p.accuracy, *p.genome.to_vector()] for p in points)
-    write_csv(path, pareto_header(n_layers), rows)
+@dataclass
+class GenerationRecord:
+    """One generation of a run: its first front as (objectives, genes)
+    pairs, the hypervolumes of that front and of the run's archive, and the
+    evaluations made so far."""
+
+    generation: int
+    front: list[tuple[tuple[float, ...], tuple[int, ...]]]
+    hv_front: float
+    hv_archive: float
+    evaluations: int
+
+
+def final_front(run_id: int, history: Sequence[GenerationRecord]) -> list[ParetoPoint]:
+    """The last generation's front, sorted by (f1, f2, genes)."""
+    last = history[-1]
+    return [ParetoPoint(*objs, Genome.from_vector(genes), run_id, last.generation) for objs, genes in sorted(last.front)]
 
 
 HV_HEADER = "gen,hv,evals,hv_archive"
@@ -197,23 +214,18 @@ def run_files(run_id: int) -> tuple[str, str, str]:
     return f"pareto_run{run_id}.csv", f"hypervolume_run{run_id}.csv", f"generations_run{run_id}.jsonl"
 
 
-def _run_texts(run_id: int, rows: Sequence[tuple], n_layers: int) -> tuple[str, str, str]:
-    """The texts of run_files(run_id) from one (gen, front, hv, evals,
-    hv_archive) row per generation, where a front lists ((f1, f2), genes)
-    pairs as nsga2.GenerationRecord does: the last front sorted by (f1, f2,
-    genes), the hypervolume trace, and one JSON line per row."""
-    gen, front = rows[-1][:2]
-    pareto = _csv_text(pareto_header(n_layers), ([run_id, gen, *objs, *genes] for objs, genes in sorted(front)))
-    trace = _csv_text(HV_HEADER, [(gen, hv, evals, hv_archive) for gen, _, hv, evals, hv_archive in rows])
-    log = ({"gen": gen, "front1": [[*objs, genes] for objs, genes in front], "hypervolume": hv, "evals": evals}
-           for gen, front, hv, evals, _ in rows)
-    return pareto, trace, "".join(json.dumps(line) + "\n" for line in log)
+def _run_texts(run_id: int, history: Sequence[GenerationRecord], n_layers: int) -> tuple[str, str, str]:
+    """The texts of run_files(run_id): the final front, the hypervolume
+    trace, and one JSON line per generation."""
+    trace = _csv_text(HV_HEADER, [(r.generation, r.hv_front, r.evaluations, r.hv_archive) for r in history])
+    log = ({"gen": r.generation, "front1": [[*objs, genes] for objs, genes in r.front], "hypervolume": r.hv_front,
+            "evals": r.evaluations} for r in history)
+    return _pareto_text(final_front(run_id, history), n_layers), trace, "".join(json.dumps(line) + "\n" for line in log)
 
 
-def write_run(out_dir, run_id: int, history: Sequence, n_layers: int) -> None:
-    """Write one run's files into out_dir from its nsga2.GenerationRecords."""
-    rows = [(r.generation, r.front, r.hv_front, r.evaluations, r.hv_archive) for r in history]
-    for name, text in zip(run_files(run_id), _run_texts(run_id, rows, n_layers)):
+def write_run(out_dir, run_id: int, history: Sequence[GenerationRecord], n_layers: int) -> None:
+    """Write one run's files into out_dir from its GenerationRecords."""
+    for name, text in zip(run_files(run_id), _run_texts(run_id, history, n_layers)):
         (Path(out_dir) / name).write_text(text, encoding="utf-8", newline="\n")
 
 
@@ -224,16 +236,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[ParetoPoint]], list[list[tuple[int, float, int, float]]]]:
-    """The manifest, bounds, run fronts and hypervolume tables of the
-    campaign in out_dir, after every file has been checked; a missing or
-    malformed file raises ValueError naming it. The manifest's runs,
-    n_clients, n_layers, interval_max, pop and generations are integers of
-    at least 1. A run's generation log and hypervolume file hold one line per
-    gen 0 .. generations; every front in the log holds one or more points,
-    each with a genome within bounds and f1, f2 in [0, 1]; every hv_archive
-    lies in [0, 1], positive after a positive volume. Each run file must then
-    be exactly what `optimize` writes for the fronts in its log, with evals =
+def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[GenerationRecord]]]:
+    """The manifest, bounds and run histories of the campaign in out_dir,
+    each history the GenerationRecords that write_run wrote, after every file
+    has been checked; a malformed file, or the first missing one, raises
+    ValueError naming it. The manifest's runs, n_clients, n_layers,
+    interval_max, pop and generations are integers of at least 1. A run's
+    generation log and hypervolume file hold one line per gen 0 ..
+    generations; every front in the log holds one or more points, none
+    dominated by another, each with f1, f2 in [0, 1] and a genome of
+    2 + 2 * n_layers coordinates within bounds; every hv_archive lies in
+    [0, 1], positive after a positive volume. Each run file must then be
+    exactly what write_run writes for the fronts in its log, with evals =
     pop * (gen + 1) and each hv its front's hypervolume."""
     out = Path(out_dir)
     path = out / MANIFEST_FILE
@@ -250,10 +264,11 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[ParetoPoint]], list[
     except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path} is not a campaign manifest: {type(exc).__name__}: {exc}") from exc
     runs, pop, generations = range(1, manifest["runs"] + 1), manifest["pop"], manifest["generations"]
-    missing = [name for k in runs for name in run_files(k) if not (out / name).is_file()]
+    # the first missing file alone: runs comes from outside and may be huge
+    missing = next((name for k in runs for name in run_files(k) if not (out / name).is_file()), None)
     if missing:
-        raise ValueError("missing campaign files: " + ", ".join(missing))
-    run_fronts, hv_tables = [], []
+        raise ValueError(f"missing campaign file {out / missing}")
+    histories = []
     try:
         for k in runs:
             paths = [out / name for name in run_files(k)]
@@ -264,13 +279,20 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[ParetoPoint]], list[
             if len(fronts) != generations + 1 or not all(fronts):
                 raise ValueError(f"needs {generations + 1} lines, one per gen 0 .. {generations}, each with a front1 point")
             points = [p for front in fronts for p in front]
-            # one comparison over every front's points; a ragged genome list
-            # or one of another length raises ValueError, and NaN fails too
+            # a ragged genome list raises ValueError
+            pairs, genomes = np.array([p[0] for p in points]), np.array([p[1] for p in points])
+            # the width before the bounds arrays, which n_layers sizes and may be huge
+            if genomes.shape != (len(points), 2 + 2 * bounds.n_layers):
+                raise ValueError(f"front1 genomes need {2 + 2 * bounds.n_layers} coordinates, for {bounds.n_layers} layers")
+            # one comparison over every front's points; NaN fails too
             lo, hi = np.array(bounds.coordinate_ranges()).T
-            pairs, genomes = np.array([p[0] for p in points]), np.array([p[1] for p in points]).reshape(len(points), len(lo))
             inside = ((0.0 <= pairs) & (pairs <= 1.0)).all(axis=1) & ((lo <= genomes) & (genomes <= hi)).all(axis=1)
             if not inside.all():
                 raise ValueError(f"front1 point {points[inside.argmin()]} needs f1, f2 in [0, 1] and a genome within {bounds}")
+            # rank-1 points never dominate each other, and duplicates survive the filter
+            for gen, front in enumerate(fronts):
+                if len(pareto_filter([objs for objs, _ in front])) < len(front):
+                    raise ValueError(f"gen {gen} holds a front1 point that another of its points dominates")
             hvs = [hypervolume([objs for objs, _ in front]) for front in fronts]
             path = paths[1]
             archive = [float(hv_archive) for _, _, _, hv_archive in read_csv(path)]
@@ -291,23 +313,21 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[ParetoPoint]], list[
                 if (positive or hv > 0.0) and hv_archive == 0.0:
                     raise ValueError(f"gen {gen} needs a positive hv_archive after a positive volume, hv {hv}")
                 positive = hv_archive > 0.0
-            rows = [(gen, front, hv, pop * (gen + 1), hv_archive)
-                    for gen, (front, hv, hv_archive) in enumerate(zip(fronts, hvs, archive))]
+            history = [GenerationRecord(gen, front, hv, hv_archive, pop * (gen + 1))
+                       for gen, (front, hv, hv_archive) in enumerate(zip(fronts, hvs, archive))]
             # the log first: it is the source of the other two
-            for path, text in reversed(list(zip(paths, _run_texts(k, rows, bounds.n_layers)))):
+            for path, text in reversed(list(zip(paths, _run_texts(k, history, bounds.n_layers)))):
                 disk, text = path.read_bytes(), text.encode("utf-8")
                 if disk != text:
                     line = next(n for n, (a, b) in enumerate(zip_longest(disk.split(b"\n"), text.split(b"\n")), 1) if a != b)
                     raise ValueError(f"line {line} is not what optimize writes for the fronts in {paths[2].name}")
-            run_fronts.append([ParetoPoint(*objs, Genome.from_vector(genes), k, generations)
-                               for objs, genes in sorted(fronts[-1])])
-            hv_tables.append([(gen, hv, evals, hv_archive) for gen, _, hv, evals, hv_archive in rows])
+            histories.append(history)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, OverflowError) as exc:
         # a log line of another shape: a missing key, a wrong type, or an integer too large for a float
         raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from exc
-    return manifest, bounds, run_fronts, hv_tables
+    return manifest, bounds, histories
 
 
 def genome_stats_rows(run_fronts: Sequence[Sequence[ParetoPoint]], bounds: Bounds) -> list[tuple]:
@@ -337,19 +357,19 @@ GENOME_STATS_HEADER = "kind,coord,q1,median,q3"
 def build_summary(
     run_fronts: Sequence[Sequence[ParetoPoint]],
     merged: Sequence[ParetoPoint],
-    hv_tables: Sequence[Sequence[tuple[int, float, int, float]]],
+    histories: Sequence[Sequence[GenerationRecord]],
     manifest: dict,
 ) -> dict:
     per_run = []
-    for k, (front, hv_rows) in enumerate(zip(run_fronts, hv_tables), start=1):
+    for k, (front, history) in enumerate(zip(run_fronts, histories), start=1):
         per_run.append({
             "run": k,
             "front_size": len(front),
             "best_f2": max(p.accuracy for p in front),
             "min_f1": min(p.comm for p in front),
-            "final_hv": hv_rows[-1][1],
-            "final_hv_archive": hv_rows[-1][3],
-            "evaluations": hv_rows[-1][2],
+            "final_hv": history[-1].hv_front,
+            "final_hv_archive": history[-1].hv_archive,
+            "evaluations": history[-1].evaluations,
         })
     return {
         "config": manifest,
@@ -361,20 +381,15 @@ def build_summary(
     }
 
 
-def export_campaign(
-    out_dir,
-    run_fronts: Sequence[Sequence[ParetoPoint]],
-    hv_tables: Sequence[Sequence[tuple[int, float, int, float]]],
-    bounds: Bounds,
-    manifest: dict,
-) -> dict:
+def export_campaign(out_dir, manifest: dict, bounds: Bounds, histories: Sequence[Sequence[GenerationRecord]]) -> dict:
     """Write the merged front, genome statistics and summary of the runs'
-    fronts and hypervolume traces into out_dir. Returns the summary."""
+    histories into out_dir. Returns the summary."""
     out = Path(out_dir)
     merged_name, stats_name, summary_name = MERGED_FILES
+    run_fronts = [final_front(k, history) for k, history in enumerate(histories, start=1)]
     merged = merge_pseudo_optimal(run_fronts)
-    write_pareto_csv(out / merged_name, merged, bounds.n_layers)
+    (out / merged_name).write_text(_pareto_text(merged, bounds.n_layers), encoding="utf-8", newline="\n")
     write_csv(out / stats_name, GENOME_STATS_HEADER, genome_stats_rows(run_fronts, bounds))
-    summary = build_summary(run_fronts, merged, hv_tables, manifest)
+    summary = build_summary(run_fronts, merged, histories, manifest)
     write_json(out / summary_name, summary)
     return summary

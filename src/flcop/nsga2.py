@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .metrics import dominated_by, hypervolume, pareto_filter
+from .metrics import GenerationRecord, dominated_by, hypervolume, pareto_filter
 
 Vector = tuple[int, ...]
 BatchEvaluator = Callable[[list[Vector], int], list[tuple[float, ...]]]
@@ -220,15 +220,6 @@ class Archive:
                 self.entries.append((*key, generation))
                 added.append(row)
         self.objectives = np.concatenate([self.objectives[old_kept], new[added]])
-
-
-@dataclass
-class GenerationRecord:
-    generation: int
-    front: list[tuple[tuple[float, ...], Vector]]
-    hv_front: float
-    hv_archive: float
-    evaluations: int
 
 
 @dataclass

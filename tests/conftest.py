@@ -167,7 +167,7 @@ def filter_sweep_hypervolume(points, reference=metrics.HV_REFERENCE) -> float:
 
 
 def read_pareto_csv(path) -> list[metrics.ParetoPoint]:
-    """The points of a pareto file, as metrics.write_pareto_csv wrote them."""
+    """The points of a pareto file, as metrics.write_run or export_campaign wrote them."""
     return [
         metrics.ParetoPoint(float(f1), float(f2), Genome.from_vector([int(c) for c in genes]), int(run_id), int(gen))
         for run_id, gen, f1, f2, *genes in metrics.read_csv(path)

@@ -388,6 +388,21 @@ def test_report_names_missing_files(campaign_dir, capsys):
         moved.write_bytes(stash)
 
 
+@pytest.mark.parametrize("key, named", [("runs", "pareto_run3.csv"), ("n_layers", "generations_run1.jsonl")])
+def test_report_checks_manifest_counts_against_the_files_first(campaign_dir, tmp_path, capsys, key, named):
+    # a count this large sizes no list or array before a file bears it out
+    out = tmp_path / "campaign"
+    shutil.copytree(campaign_dir, out)
+    manifest = json.loads((out / "campaign.json").read_text())
+    manifest[key] = 10**9
+    metrics.write_json(out / "campaign.json", manifest)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run_cli("report", out) == 2
+    err = capsys.readouterr().err
+    assert named in err and len(err) < 1000
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def _first_row_cell(index, value):
     """A corruption that sets one cell of the first data row."""
     def corrupt(lines):
@@ -414,6 +429,13 @@ def _log_line(index, edit):
         lines[index] = json.dumps(row)
         return lines
     return corrupt
+
+
+def _append_dominated_copy(row):
+    """Append a copy of the front's highest-f2 point with f2 = 0, which that point dominates."""
+    f1, f2, genes = max(row["front1"], key=lambda point: point[1])
+    assert f2 > 0.0
+    row["front1"].append([f1, 0.0, genes])
 
 
 def _extra_generation(lines):
@@ -487,6 +509,8 @@ def _extra_generation(lines):
         ("generations_run1.jsonl", _log_line(1, lambda row: row.update(evals=float(row["evals"])))),
         ("hypervolume_run2.csv", lambda lines: [lines[0], re.sub(r"^(\d+,[^,]+,)", r"\g<1>0", lines[1]), *lines[2:]]),
         ("pareto_run1.csv", lambda lines: [lines[0], *reversed(lines[1:])]),
+        # a dominated point adds no volume, so the middle line renders as it is written
+        ("generations_run2.jsonl", _log_line(1, _append_dominated_copy)),
     ],
     ids=[
         "non-numeric-cell", "short-row", "wrong-layer-count", "nan-f2", "f1-above-one",
@@ -498,7 +522,7 @@ def _extra_generation(lines):
         "log-front-short", "log-front-extra-copy", "log-front-f2-off", "log-line-not-json",
         "log-line-not-an-object", "log-line-without-front", "log-nan-hv", "log-middle-f2-off",
         "log-middle-front-short", "log-middle-m-out-of-bounds", "log-middle-f1-beyond-float", "log-gen-float",
-        "log-gen-true", "log-evals-float", "evals-zero-padded", "pareto-rows-reversed",
+        "log-gen-true", "log-evals-float", "evals-zero-padded", "pareto-rows-reversed", "log-middle-dominated-point",
     ],
 )
 def test_report_rejects_malformed_run_files(campaign_dir, tmp_path, capsys, name, corrupt):

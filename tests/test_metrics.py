@@ -247,24 +247,27 @@ def test_genome_stats_quartiles():
 def test_export_empty_campaign(tmp_path):
     # read_campaign admits no campaign without runs, so there is nothing to merge
     with pytest.raises(ValueError, match="at least one run"):
-        metrics.export_campaign(tmp_path, [], [], Bounds(4, 2), {"runs": 0})
+        metrics.export_campaign(tmp_path, {"runs": 0}, Bounds(4, 2), [])
     assert list(tmp_path.iterdir()) == []
 
 
 def test_export_and_read_back(tmp_path):
     bounds = Bounds(4, 2)
     fronts = [
-        [_point(0.1, 0.8, run_id=1, gen=3, seed=5), _point(0.3, 0.9, run_id=1, gen=3, seed=6)],
-        [_point(0.2, 0.85, run_id=2, gen=3, seed=7)],
+        [_point(0.1, 0.8, run_id=1, gen=1, seed=5), _point(0.3, 0.9, run_id=1, gen=1, seed=6)],
+        [_point(0.2, 0.85, run_id=2, gen=0, seed=7)],
     ]
     hv_tables = [
         [(0, 0.5, 10, 0.5), (1, 0.6, 20, 0.65)],
         [(0, 0.4, 10, 0.4)],
     ]
+    histories = []
     for k, (front, rows) in enumerate(zip(fronts, hv_tables), start=1):
-        metrics.write_pareto_csv(tmp_path / f"pareto_run{k}.csv", front, bounds.n_layers)
-        metrics.write_csv(tmp_path / f"hypervolume_run{k}.csv", metrics.HV_HEADER, rows)
-    summary = metrics.export_campaign(tmp_path, fronts, hv_tables, bounds, {"runs": 2})
+        # every generation holds the final front, listed unsorted: the pareto file sorts the last one
+        front1 = [(p.as_pair(), p.genome.to_vector()) for p in reversed(front)]
+        histories.append([metrics.GenerationRecord(gen, front1, hv, hv_archive, evals) for gen, hv, evals, hv_archive in rows])
+        metrics.write_run(tmp_path, k, histories[-1], bounds.n_layers)
+    summary = metrics.export_campaign(tmp_path, {"runs": 2}, bounds, histories)
     assert (tmp_path / "pareto_run1.csv").read_text().splitlines()[0] == "run,gen,f1,f2,m,E,mu_1,mu_2,b_1,b_2"
     assert (tmp_path / "hypervolume_run1.csv").read_text().splitlines()[0] == "gen,hv,evals,hv_archive"
 
@@ -283,7 +286,7 @@ def test_export_and_read_back(tmp_path):
 @given(
     pop=st.sampled_from([4, 6, 8]),
     generations=st.integers(1, 4),
-    seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 2),
     # f2 is a fraction of correct test images, as the hv_archive rule assumes
     table=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 2000).map(lambda c: c / 2000)), min_size=1, max_size=12),
 )
@@ -296,13 +299,14 @@ def test_read_campaign_accepts_what_write_run_writes(pop, generations, seed, tab
     def evaluate(genomes, generation):
         return [table[sum(g * 7**i for i, g in enumerate(genome)) % len(table)] for genome in genomes]
 
-    params = nsga2.SearchParams(pop, generations, tuple(bounds.coordinate_ranges()), seed=seed)
-    history = nsga2.run(evaluate, params, hv_reference=metrics.HV_REFERENCE).history
-    manifest = {"runs": 1, "n_clients": 3, "n_layers": 1, "interval_max": 5, "pop": pop, "generations": generations}
+    histories = [
+        nsga2.run(evaluate, nsga2.SearchParams(pop, generations, tuple(bounds.coordinate_ranges()), seed=run_seed),
+                  hv_reference=metrics.HV_REFERENCE).history
+        for run_seed in (seed, seed + 1)
+    ]
+    manifest = {"runs": 2, "n_clients": 3, "n_layers": 1, "interval_max": 5, "pop": pop, "generations": generations}
     with tempfile.TemporaryDirectory() as out:
         metrics.write_json(Path(out) / metrics.MANIFEST_FILE, manifest)
-        metrics.write_run(out, 1, history, bounds.n_layers)
-        _, _, run_fronts, hv_tables = metrics.read_campaign(out)
-    assert hv_tables == [[(r.generation, r.hv_front, r.evaluations, r.hv_archive) for r in history]]
-    final = sorted((f1, f2, genes) for (f1, f2), genes in history[-1].front)
-    assert [(p.comm, p.accuracy, p.genome.to_vector()) for p in run_fronts[0]] == final
+        for k, history in enumerate(histories, start=1):
+            metrics.write_run(out, k, history, bounds.n_layers)
+        assert metrics.read_campaign(out) == (manifest, bounds, histories)
