@@ -227,6 +227,16 @@ def _mnist_dir(options: dict) -> Path:
     return path
 
 
+def _out_dir(options: dict) -> Path:
+    """--out, checked before any data is read: the nearest existing path at
+    or above it must be a directory. Creates nothing."""
+    out = Path(options["out"])
+    existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} is not a directory")
+    return out
+
+
 def _load_datasets(options: dict):
     mnist_dir = _mnist_dir(options)
     try:
@@ -284,10 +294,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if options["model"] == "fc" and options["workers"] > 1:
         # fc evaluation is mostly Python code, which the interpreter lock serialises
         print(f"note: --workers {options['workers']} does not speed up fc evaluation; --workers 1 is as fast", file=sys.stderr)
+    out = _out_dir(options)
     train, test = _load_datasets(options)
     spec = MODEL_SPECS[options["model"]]()
     bounds = Bounds(options["n_clients"], spec.n_arrays, BOUNDS_PRESETS[options["bounds"]])
-    out = Path(options["out"])
     out.mkdir(parents=True, exist_ok=True)
     # an older campaign's files must not pass for this one's if it is killed
     stale = [name for k in range(1, options["runs"] + 1) for name in metrics.run_files(k)]
@@ -363,9 +373,9 @@ def _check_trace_flags(args: argparse.Namespace) -> None:
 def cmd_baseline(args: argparse.Namespace) -> int:
     _check_trace_flags(args)
     options = resolve_options(args)
+    out = _out_dir(options)
     env = _make_env(options, *_load_datasets(options), options["seed"])
     payload = _simulate_payload(brute_force_genome(env.n_clients, env.spec.n_arrays), env, args)
-    out = Path(options["out"])
     out.mkdir(parents=True, exist_ok=True)
     metrics.write_json(out / "baseline.json", payload)
     print(json.dumps(payload["objectives"]))

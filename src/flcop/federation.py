@@ -123,8 +123,7 @@ def run_federated_training(
 
     sizes = spec.param_shapes
     theta = 32 * spec.total_params
-    batches_per_epoch = math.ceil(max(s.count for s in part) / train.batch_size)
-    total_iters = batches_per_epoch * env.epochs
+    total_iters = env.step_budget
     rounds = math.ceil(total_iters / genome.interval)
 
     root = np.random.SeedSequence(seed)

@@ -7,7 +7,9 @@ reference point (1.0, 0.0) is the worst corner of that box.
 It also owns the campaign directory and a run's one in-memory form, a list
 of `GenerationRecord`s: `write_run` writes a run's records as its files,
 `read_campaign` checks every file and returns the records that were written,
-and `export_campaign` builds the merged outputs from them.
+and `export_campaign` builds the merged outputs from them. A record holds no
+front hypervolume: every front's volume, in the files and the summary, is
+computed here from the front itself.
 """
 
 from __future__ import annotations
@@ -187,13 +189,13 @@ def _pareto_text(points: Iterable[ParetoPoint], n_layers: int) -> str:
 
 @dataclass
 class GenerationRecord:
-    """One generation of a run: its first front as (objectives, genes)
-    pairs, the hypervolumes of that front and of the run's archive, and the
-    evaluations made so far."""
+    """One generation of a run, as the search knows it: its first front as
+    (objectives, genes) pairs, the hypervolume of the run's archive, and the
+    evaluations made so far. The front's own hypervolume is a function of the
+    front, computed where the front is written."""
 
     generation: int
     front: list[tuple[tuple[float, ...], tuple[int, ...]]]
-    hv_front: float
     hv_archive: float
     evaluations: int
 
@@ -216,10 +218,11 @@ def run_files(run_id: int) -> tuple[str, str, str]:
 
 def _run_texts(run_id: int, history: Sequence[GenerationRecord], n_layers: int) -> tuple[str, str, str]:
     """The texts of run_files(run_id): the final front, the hypervolume
-    trace, and one JSON line per generation."""
-    trace = _csv_text(HV_HEADER, [(r.generation, r.hv_front, r.evaluations, r.hv_archive) for r in history])
-    log = ({"gen": r.generation, "front1": [[*objs, genes] for objs, genes in r.front], "hypervolume": r.hv_front,
-            "evals": r.evaluations} for r in history)
+    trace, and one JSON line per generation, each hv its front's hypervolume."""
+    hvs = [hypervolume([objs for objs, _ in r.front]) for r in history]
+    trace = _csv_text(HV_HEADER, [(r.generation, hv, r.evaluations, r.hv_archive) for r, hv in zip(history, hvs)])
+    log = ({"gen": r.generation, "front1": [[*objs, genes] for objs, genes in r.front], "hypervolume": hv,
+            "evals": r.evaluations} for r, hv in zip(history, hvs))
     return _pareto_text(final_front(run_id, history), n_layers), trace, "".join(json.dumps(line) + "\n" for line in log)
 
 
@@ -313,8 +316,8 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[GenerationRecord]]]:
                 if (positive or hv > 0.0) and hv_archive == 0.0:
                     raise ValueError(f"gen {gen} needs a positive hv_archive after a positive volume, hv {hv}")
                 positive = hv_archive > 0.0
-            history = [GenerationRecord(gen, front, hv, hv_archive, pop * (gen + 1))
-                       for gen, (front, hv, hv_archive) in enumerate(zip(fronts, hvs, archive))]
+            history = [GenerationRecord(gen, front, hv_archive, pop * (gen + 1))
+                       for gen, (front, hv_archive) in enumerate(zip(fronts, archive))]
             # the log first: it is the source of the other two
             for path, text in reversed(list(zip(paths, _run_texts(k, history, bounds.n_layers)))):
                 disk, text = path.read_bytes(), text.encode("utf-8")
@@ -354,26 +357,24 @@ def genome_stats_rows(run_fronts: Sequence[Sequence[ParetoPoint]], bounds: Bound
 GENOME_STATS_HEADER = "kind,coord,q1,median,q3"
 
 
-def build_summary(
-    run_fronts: Sequence[Sequence[ParetoPoint]],
-    merged: Sequence[ParetoPoint],
-    histories: Sequence[Sequence[GenerationRecord]],
-    manifest: dict,
-) -> dict:
+def build_summary(merged: Sequence[ParetoPoint], histories: Sequence[Sequence[GenerationRecord]], manifest: dict) -> dict:
+    """The campaign summary; each run's figures come from its last record."""
     per_run = []
-    for k, (front, history) in enumerate(zip(run_fronts, histories), start=1):
+    for k, history in enumerate(histories, start=1):
+        last = history[-1]
+        front = [objs for objs, _ in last.front]
         per_run.append({
             "run": k,
             "front_size": len(front),
-            "best_f2": max(p.accuracy for p in front),
-            "min_f1": min(p.comm for p in front),
-            "final_hv": history[-1].hv_front,
-            "final_hv_archive": history[-1].hv_archive,
-            "evaluations": history[-1].evaluations,
+            "best_f2": max(f2 for _, f2 in front),
+            "min_f1": min(f1 for f1, _ in front),
+            "final_hv": hypervolume(front),
+            "final_hv_archive": last.hv_archive,
+            "evaluations": last.evaluations,
         })
     return {
         "config": manifest,
-        "runs": len(run_fronts),
+        "runs": len(histories),
         "merged_front_size": len(merged),
         "best_f2": max(p.accuracy for p in merged),
         "min_f1": min(p.comm for p in merged),
@@ -390,6 +391,6 @@ def export_campaign(out_dir, manifest: dict, bounds: Bounds, histories: Sequence
     merged = merge_pseudo_optimal(run_fronts)
     (out / merged_name).write_text(_pareto_text(merged, bounds.n_layers), encoding="utf-8", newline="\n")
     write_csv(out / stats_name, GENOME_STATS_HEADER, genome_stats_rows(run_fronts, bounds))
-    summary = build_summary(run_fronts, merged, histories, manifest)
+    summary = build_summary(merged, histories, manifest)
     write_json(out / summary_name, summary)
     return summary

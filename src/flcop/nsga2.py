@@ -10,6 +10,8 @@ reproduces a run exactly regardless of how the evaluator parallelizes.
 
 Each generation runs one non-dominated sort: `replacement` sorts parents plus
 offspring, and sets the rank and crowding of each survivor as it keeps it.
+The run's history holds only what the search knows; a front's hypervolume,
+a function of the front alone, is left to whoever reads the front.
 """
 
 from __future__ import annotations
@@ -246,10 +248,11 @@ def run(
     select, cross, mutate, evaluate, and apply elitist replacement.
 
     History records each generation's first front, its evaluation count
-    pop * (generation + 1) and, when hv_reference is given, the hypervolume
-    of that front and of the running archive of all non-dominated points
-    seen so far. The archive takes each generation's new points
-    incrementally (see Archive): its members are never compared again.
+    pop * (generation + 1) and, when hv_reference is given (else 0.0), the
+    hypervolume of the running archive of all non-dominated points seen so
+    far: one hypervolume per generation. The archive takes each generation's
+    new points incrementally (see Archive): its members are never compared
+    again.
     """
     rng = np.random.default_rng(params.seed)
     bounds = np.asarray(params.bounds)
@@ -272,12 +275,8 @@ def run(
 
     def record(generation: int) -> None:
         front = [(ind.objectives, ind.genome) for ind in population if ind.rank == 1]
-        hv_front = hv_archive = 0.0
-        if hv_reference is not None:
-            hv_front = _hv_in_box(np.asarray([f[0] for f in front], np.float64), directions, hv_reference)
-            hv_archive = _hv_in_box(archive.objectives, directions, hv_reference)
-        evaluations = params.population_size * (generation + 1)
-        history.append(GenerationRecord(generation, front, hv_front, hv_archive, evaluations))
+        hv_archive = 0.0 if hv_reference is None else _hv_in_box(archive.objectives, directions, hv_reference)
+        history.append(GenerationRecord(generation, front, hv_archive, params.population_size * (generation + 1)))
 
     score(population, 0)
     replacement(population, [], directions)  # ranks in place; the list order feeds the tournament

@@ -8,6 +8,7 @@ second is the final test accuracy of the simulated federated run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .codec import MAX_BITS, MAX_DROP_PERCENT
@@ -136,6 +137,11 @@ class EvalEnv:
     @property
     def n_clients(self) -> int:
         return len(self.partition)
+
+    @property
+    def step_budget(self) -> int:
+        """T, each client's SGD step budget: ceil(largest shard / batch size) * epochs."""
+        return math.ceil(max(s.count for s in self.partition) / self.train.batch_size) * self.epochs
 
 
 def simulate_genome(

@@ -254,6 +254,20 @@ def test_empty_idx_file_is_data_error(tmp_path, capsys, command, empty):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["optimize", "baseline"])
+@pytest.mark.parametrize("below", [(), ("sub",), ("sub", "dir")], ids=["file", "under-file", "two-under-file"])
+def test_out_under_a_file_is_config_error_before_data(tmp_path, capsys, command, below):
+    # the MNIST directory is missing, so an --out check made after the data
+    # is read would exit 2
+    blocker = tmp_path / "notadir"
+    blocker.write_bytes(b"kept")
+    out = blocker.joinpath(*below)
+    assert run_cli(command, "--mnist-dir", tmp_path / "missing", "--out", out) == 1
+    assert f"{blocker} is not a directory" in capsys.readouterr().err
+    assert blocker.read_bytes() == b"kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["notadir"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -319,6 +333,16 @@ def test_campaign_outputs(campaign_dir):
     assert all({"gen", "front1", "hypervolume", "evals"} <= set(r) for r in log_rows)
     genome = log_rows[-1]["front1"][0][2]
     Genome.from_vector(genome)  # stored as the flat [m, E, mu.., b..] array
+
+
+def test_summary_final_hv_is_the_last_hypervolume_row(campaign_dir):
+    summary = json.loads((campaign_dir / "summary.json").read_text())
+    assert len(summary["per_run"]) == 2
+    for k, run in enumerate(summary["per_run"], start=1):
+        gen, hv, evals, hv_archive = metrics.read_csv(campaign_dir / f"hypervolume_run{k}.csv")[-1]
+        assert run["final_hv"] == float(hv)
+        assert run["final_hv_archive"] == float(hv_archive)
+        assert run["evaluations"] == int(evals)
 
 
 def test_report_is_idempotent(campaign_dir):

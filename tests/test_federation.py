@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flcop import codec, federation, nn
 from flcop.data import partition
@@ -308,3 +310,47 @@ def test_non_finite_local_model_raises_before_upload(monkeypatch, value):
     with pytest.raises(nn.NumericError) as info:
         federation.run_federated_training(*_run(partition(train, 4, seed=9), train, drop=50), seed=0)
     assert info.value.layer_index == 1
+
+
+# 98 rows split 25, 25, 24, 24, so the largest shard sets T
+COST_TRAIN = make_synthetic(98, 19)
+COST_PART = partition(COST_TRAIN, 4, seed=3)
+COST_TEST = make_synthetic(16, 20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    participants=st.integers(1, 4),
+    batch=st.sampled_from([4, 8, 16, 32, 64]),
+    epochs=st.integers(1, 3),
+    drops=st.lists(st.integers(0, 50), min_size=TOY.n_arrays, max_size=TOY.n_arrays),
+    bits=st.lists(st.integers(4, 32), min_size=TOY.n_arrays, max_size=TOY.n_arrays),
+    draw=st.data(),
+)
+def test_evaluation_costs_m_times_t_steps_and_ceil_t_over_e_uploads(participants, batch, epochs, drops, bits, draw):
+    budget = math.ceil(max(s.count for s in COST_PART) / batch) * epochs
+    divisors = [e for e in range(1, budget + 1) if budget % e == 0]
+    others = [e for e in range(1, budget) if budget % e]
+    interval = draw.draw(st.sampled_from(sorted({1, budget, budget + 1, 1000, *divisors, *others})), label="E")
+    genome = Genome(participants, interval, tuple(drops), tuple(bits))
+    env = EvalEnv(TOY, COST_PART, COST_TEST, nn.TrainConfig(0.1, batch), epochs, seed=0)
+    counts = {"sgd_step": 0, "quantize": 0}
+
+    def counted(name):
+        original = getattr(federation, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in counts:
+            patch.setattr(federation, name, counted(name))
+        outcome = federation.run_federated_training(genome, env, seed=[1, 2])
+    rounds = math.ceil(budget / interval)
+    assert env.step_budget == budget
+    assert counts["sgd_step"] == participants * budget
+    assert counts["quantize"] == participants * rounds * TOY.n_arrays
+    assert outcome.ledger.rounds_executed == rounds

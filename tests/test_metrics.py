@@ -257,15 +257,16 @@ def test_export_and_read_back(tmp_path):
         [_point(0.1, 0.8, run_id=1, gen=1, seed=5), _point(0.3, 0.9, run_id=1, gen=1, seed=6)],
         [_point(0.2, 0.85, run_id=2, gen=0, seed=7)],
     ]
-    hv_tables = [
-        [(0, 0.5, 10, 0.5), (1, 0.6, 20, 0.65)],
-        [(0, 0.4, 10, 0.4)],
+    # (gen, evals, hv_archive) per record
+    archive_tables = [
+        [(0, 10, 0.5), (1, 20, 0.65)],
+        [(0, 10, 0.4)],
     ]
     histories = []
-    for k, (front, rows) in enumerate(zip(fronts, hv_tables), start=1):
+    for k, (front, rows) in enumerate(zip(fronts, archive_tables), start=1):
         # every generation holds the final front, listed unsorted: the pareto file sorts the last one
         front1 = [(p.as_pair(), p.genome.to_vector()) for p in reversed(front)]
-        histories.append([metrics.GenerationRecord(gen, front1, hv, hv_archive, evals) for gen, hv, evals, hv_archive in rows])
+        histories.append([metrics.GenerationRecord(gen, front1, hv_archive, evals) for gen, evals, hv_archive in rows])
         metrics.write_run(tmp_path, k, histories[-1], bounds.n_layers)
     summary = metrics.export_campaign(tmp_path, {"runs": 2}, bounds, histories)
     assert (tmp_path / "pareto_run1.csv").read_text().splitlines()[0] == "run,gen,f1,f2,m,E,mu_1,mu_2,b_1,b_2"
@@ -273,7 +274,11 @@ def test_export_and_read_back(tmp_path):
 
     back = read_pareto_csv(tmp_path / "pareto_run1.csv")
     assert back == fronts[0]
-    assert read_hypervolume_csv(tmp_path / "hypervolume_run1.csv") == hv_tables[0]
+    # each hv is the hypervolume of its record's front
+    hv = filter_sweep_hypervolume([p.as_pair() for p in fronts[0]])
+    assert read_hypervolume_csv(tmp_path / "hypervolume_run1.csv") == [
+        (gen, hv, evals, hv_archive) for gen, evals, hv_archive in archive_tables[0]
+    ]
 
     merged = read_pareto_csv(tmp_path / "pareto_merged.csv")
     assert merged == merge_pseudo_optimal(fronts)
@@ -291,9 +296,9 @@ def test_export_and_read_back(tmp_path):
     table=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 2000).map(lambda c: c / 2000)), min_size=1, max_size=12),
 )
 def test_read_campaign_accepts_what_write_run_writes(pop, generations, seed, table):
-    # read_campaign renders each hv anew from the front it parses, so every
-    # run file passes only if hypervolume of each parsed front equals the
-    # engine's hv_front bit for bit
+    # write_run and read_campaign both render each hv from a record's front,
+    # so every run file passes only if each front, and each hv_archive, reads
+    # back from the files bit for bit
     bounds = Bounds(3, 1, 5)
 
     def evaluate(genomes, generation):

@@ -475,12 +475,36 @@ def test_run_deterministic_and_archive_monotone():
     a = nsga2.run(evaluate, params, directions=(1, 1), hv_reference=(70.0, 70.0))
     b = nsga2.run(evaluate, params, directions=(1, 1), hv_reference=(70.0, 70.0))
     assert [ind.genome for ind in a.population] == [ind.genome for ind in b.population]
-    assert [(r.hv_front, r.hv_archive, r.evaluations) for r in a.history] == [
-        (r.hv_front, r.hv_archive, r.evaluations) for r in b.history
-    ]
+    assert [(r.hv_archive, r.evaluations) for r in a.history] == [(r.hv_archive, r.evaluations) for r in b.history]
     hvs = [r.hv_archive for r in a.history]
     assert all(later >= earlier for earlier, later in zip(hvs, hvs[1:]))
     assert a.evaluations == 12 * 11
+
+
+@pytest.mark.parametrize("generations", [0, 1, 4])
+def test_run_takes_one_hypervolume_per_generation(monkeypatch, generations):
+    # the archive's volume is the only one the engine takes; a front's volume
+    # is left to metrics, which renders it from the front
+    calls = []
+    real = nsga2.hypervolume
+
+    def spy(points, reference):
+        calls.append(len(points))
+        return real(points, reference)
+
+    monkeypatch.setattr(nsga2, "hypervolume", spy)
+    params = nsga2.SearchParams(8, generations, ((0, 20), (0, 20)), seed=1)
+
+    def evaluate(genomes, generation):
+        return [(g[0] / 20, (g[0] * g[1] % 21) / 20) for g in genomes]
+
+    result = nsga2.run(evaluate, params, directions=(1, -1), hv_reference=metrics.HV_REFERENCE)
+    assert len(calls) == generations + 1
+    assert calls[-1] == len(result.archive)
+    assert result.history[-1].hv_archive == real([objs for objs, _, _ in result.archive], metrics.HV_REFERENCE)
+    calls.clear()
+    nsga2.run(evaluate, params, directions=(1, -1))
+    assert calls == []
 
 
 def test_run_converges_on_discretized_analytic_problem():
