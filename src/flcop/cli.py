@@ -363,21 +363,30 @@ def _simulate_payload(genome: Genome, env: EvalEnv, args: argparse.Namespace) ->
 
 
 def _check_trace_flags(args: argparse.Namespace) -> None:
-    """A trace flag that would write no trace is a configuration error."""
+    """A trace flag that would write no trace, or a --trace that cannot be
+    written as a file, is a configuration error. Creates nothing."""
     if getattr(args, "layer_sizes", None) and (args.trace or args.trace_accuracy):
         raise ConfigError("--layer-sizes runs no simulation, so it takes no --trace or --trace-accuracy")
     if args.trace_accuracy and not args.trace:
         raise ConfigError("--trace-accuracy needs --trace")
+    trace = Path(args.trace) if args.trace else None
+    if trace and trace.is_dir():
+        raise ConfigError(f"--trace {trace} is a directory")
+    if trace and not trace.parent.is_dir():
+        raise ConfigError(f"--trace {trace}: {trace.parent} is not a directory")
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     _check_trace_flags(args)
     options = resolve_options(args)
     out = _out_dir(options)
+    target = out / "baseline.json"
+    if target.is_dir():
+        raise ConfigError(f"--out {out}: {target} is a directory")
     env = _make_env(options, *_load_datasets(options), options["seed"])
     payload = _simulate_payload(brute_force_genome(env.n_clients, env.spec.n_arrays), env, args)
     out.mkdir(parents=True, exist_ok=True)
-    metrics.write_json(out / "baseline.json", payload)
+    metrics.write_json(target, payload)
     print(json.dumps(payload["objectives"]))
     return EXIT_OK
 

@@ -1,4 +1,5 @@
-"""MNIST loading from IDX files, normalization, and IID client partitioning."""
+"""MNIST loading from IDX files, normalization, and IID client partitioning.
+A client batch is no dataset but the (pixels, labels) pair `nn.sgd_step` reads."""
 
 from __future__ import annotations
 
@@ -34,7 +35,8 @@ class DataConsistencyError(ValueError):
 class LabeledDataset:
     """One row of pixels per example, stored either as an IDX file's uint8
     bytes v, which `pixels` decodes to float32 v / 255, or as float rows in
-    [0, 1], which `pixels` returns as they are."""
+    [0, 1], which `pixels` returns as they are. Every dataset, loaded or
+    taken, is checked when built: one label in [0, 9] per row."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -42,19 +44,11 @@ class LabeledDataset:
     def __post_init__(self):
         if self.images.ndim != 2 or self.images.shape[0] != self.labels.shape[0]:
             raise ValueError("images and labels must have one row per example")
-        _check_labels(self.labels)
+        if self.labels.size and (self.labels.min() < 0 or self.labels.max() > 9):
+            raise ValueError("labels must lie in [0, 9]")
         # every byte is a pixel, so only float rows can lie outside [0, 1]
         if self.images.dtype != np.uint8 and self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
             raise ValueError("pixels must lie in [0, 1]")
-
-    @classmethod
-    def _unchecked(cls, images: np.ndarray, labels: np.ndarray) -> "LabeledDataset":
-        """A dataset whose rows are known to be valid: the rows of a checked
-        dataset, or an IDX file's bytes. Skips __post_init__."""
-        ds = object.__new__(cls)
-        object.__setattr__(ds, "images", images)
-        object.__setattr__(ds, "labels", labels)
-        return ds
 
     @property
     def count(self) -> int:
@@ -63,7 +57,7 @@ class LabeledDataset:
     def take(self, indices: np.ndarray) -> "LabeledDataset":
         """The rows at a 1-D index array, gathered into a new dataset that
         stores them as this one does."""
-        return LabeledDataset._unchecked(self.images[indices], self.labels[indices])
+        return LabeledDataset(self.images[indices], self.labels[indices])
 
     def pixels(self, index) -> np.ndarray:
         """The pixels at `index` (a slice or an index array) as the model
@@ -86,15 +80,11 @@ class Shard:
     def count(self) -> int:
         return self.rows.shape[0]
 
-    def take(self, positions: np.ndarray) -> LabeledDataset:
-        """The shard's examples at `positions`, in that order, as float rows."""
+    def take(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The shard's examples at `positions`, in that order, as the pair
+        `nn.sgd_step` reads: their rows as `pixels` decodes them, and their labels."""
         indices = self.rows[positions]
-        return LabeledDataset._unchecked(self.source.pixels(indices), self.source.labels[indices])
-
-
-def _check_labels(labels: np.ndarray) -> None:
-    if labels.size and (labels.min() < 0 or labels.max() > 9):
-        raise ValueError("labels must lie in [0, 9]")
+        return self.source.pixels(indices), self.source.labels[indices]
 
 
 def _read_header(raw: bytes, path, n_dims: int, expected_magic: int) -> tuple[int, ...]:
@@ -143,7 +133,7 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
         images = np.empty((count, 784), np.uint8)
         if f.readinto(images) != images.nbytes:
             raise IdxLengthError(f"{images_path}: payload ended before the {count * 784} bytes its header promises")
-    return LabeledDataset._unchecked(images, labels)
+    return LabeledDataset(images, labels)
 
 
 def load_mnist(mnist_dir) -> tuple[LabeledDataset, LabeledDataset]:

@@ -150,7 +150,7 @@ def run_federated_training(
             shard = part[k]
             local = global_model
             for _ in range(steps):
-                local = sgd_step(local, shard.take(next(streams[k])), train)
+                local = sgd_step(local, *shard.take(next(streams[k])), train)
             arrays = []
             for i, arr in enumerate(local.arrays):
                 # sparsify would silently drop a NaN, so check before encoding

@@ -216,10 +216,9 @@ def run_files(run_id: int) -> tuple[str, str, str]:
     return f"pareto_run{run_id}.csv", f"hypervolume_run{run_id}.csv", f"generations_run{run_id}.jsonl"
 
 
-def _run_texts(run_id: int, history: Sequence[GenerationRecord], n_layers: int) -> tuple[str, str, str]:
-    """The texts of run_files(run_id): the final front, the hypervolume
-    trace, and one JSON line per generation, each hv its front's hypervolume."""
-    hvs = [hypervolume([objs for objs, _ in r.front]) for r in history]
+def _run_texts(run_id: int, history: Sequence[GenerationRecord], hvs: Sequence[float], n_layers: int) -> tuple[str, str, str]:
+    """The texts of run_files(run_id), given each front's hypervolume in hvs:
+    the final front, the hypervolume trace, and one JSON line per generation."""
     trace = _csv_text(HV_HEADER, [(r.generation, hv, r.evaluations, r.hv_archive) for r, hv in zip(history, hvs)])
     log = ({"gen": r.generation, "front1": [[*objs, genes] for objs, genes in r.front], "hypervolume": hv,
             "evals": r.evaluations} for r, hv in zip(history, hvs))
@@ -228,7 +227,8 @@ def _run_texts(run_id: int, history: Sequence[GenerationRecord], n_layers: int) 
 
 def write_run(out_dir, run_id: int, history: Sequence[GenerationRecord], n_layers: int) -> None:
     """Write one run's files into out_dir from its GenerationRecords."""
-    for name, text in zip(run_files(run_id), _run_texts(run_id, history, n_layers)):
+    hvs = [hypervolume([objs for objs, _ in r.front]) for r in history]
+    for name, text in zip(run_files(run_id), _run_texts(run_id, history, hvs, n_layers)):
         (Path(out_dir) / name).write_text(text, encoding="utf-8", newline="\n")
 
 
@@ -319,7 +319,7 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[GenerationRecord]]]:
             history = [GenerationRecord(gen, front, hv_archive, pop * (gen + 1))
                        for gen, (front, hv_archive) in enumerate(zip(fronts, archive))]
             # the log first: it is the source of the other two
-            for path, text in reversed(list(zip(paths, _run_texts(k, history, bounds.n_layers)))):
+            for path, text in reversed(list(zip(paths, _run_texts(k, history, hvs, bounds.n_layers)))):
                 disk, text = path.read_bytes(), text.encode("utf-8")
                 if disk != text:
                     line = next(n for n, (a, b) in enumerate(zip_longest(disk.split(b"\n"), text.split(b"\n")), 1) if a != b)

@@ -315,11 +315,12 @@ def loss_and_gradients(params: ModelParams, images, labels) -> tuple[float, list
         return loss, flat_grads
 
 
-def sgd_step(params: ModelParams, batch, cfg: TrainConfig) -> ModelParams:
-    """One plain SGD update: params - learning_rate * mean batch gradient."""
-    if batch.count < 1:
+def sgd_step(params: ModelParams, images: np.ndarray, labels: np.ndarray, cfg: TrainConfig) -> ModelParams:
+    """One plain SGD update on the batch of pixel rows `images` and their
+    `labels`: params - learning_rate * mean batch gradient."""
+    if len(images) < 1:
         raise ValueError("batch must be non-empty")
-    _, grads = loss_and_gradients(params, batch.images, batch.labels)
+    _, grads = loss_and_gradients(params, images, labels)
     lr = params.arrays[0].dtype.type(cfg.learning_rate)
     # the gradients are this step's own arrays, so each is scaled in place
     # and then overwritten by the updated parameters

@@ -429,9 +429,9 @@ def copying_loss_and_gradients(params, images, labels):
         return loss, flat_grads
 
 
-def copying_sgd_step(params, batch, cfg):
+def copying_sgd_step(params, images, labels, cfg):
     """Reference SGD update: a - lr * g, with lr * g a new array."""
-    _, grads = copying_loss_and_gradients(params, batch.images, batch.labels)
+    _, grads = copying_loss_and_gradients(params, images, labels)
     lr = params.arrays[0].dtype.type(cfg.learning_rate)
     return nn.ModelParams(params.spec, [a - lr * g for a, g in zip(params.arrays, grads)])
 
@@ -472,14 +472,14 @@ def float32_load_idx(images_path, labels_path) -> data.LabeledDataset:
     return data.LabeledDataset(images, labels)
 
 
-def copying_partition(ds: data.LabeledDataset, n_clients: int, seed: int) -> tuple[data.LabeledDataset, ...]:
-    """Reference partition: the same shards as data.partition, each a copy of
-    its rows rather than a row-index view."""
+def copying_partition(ds: data.LabeledDataset, n_clients: int, seed: int) -> tuple[data.Shard, ...]:
+    """Reference partition: the same shards as data.partition, each over a
+    copy of its rows rather than a row-index view onto ds."""
     order = np.random.default_rng(seed).permutation(ds.count)
     base, rem = divmod(ds.count, n_clients)
     sizes = [base + 1] * rem + [base] * (n_clients - rem)
     starts = np.cumsum([0] + sizes)
-    return tuple(ds.take(order[a:b]) for a, b in zip(starts[:-1], starts[1:]))
+    return tuple(data.Shard(ds.take(order[a:b]), np.arange(b - a)) for a, b in zip(starts[:-1], starts[1:]))
 
 
 def make_synthetic(n: int, seed: int) -> data.LabeledDataset:

@@ -269,6 +269,30 @@ def test_out_under_a_file_is_config_error_before_data(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize(
+    "command, case",
+    [(command, case) for command in ("eval", "baseline") for case in ("trace-dir", "trace-under-file", "trace-under-absent")]
+    + [("baseline", "baseline-json-dir")],
+)
+def test_unwritable_trace_or_baseline_file_is_config_error_before_data(tmp_path, capsys, command, case):
+    # the MNIST directory is missing, so a path check made after the data is
+    # read would exit 2
+    (tmp_path / "notadir").write_bytes(b"kept")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "out" / "baseline.json").mkdir(parents=True)
+    trace, named = {
+        "trace-dir": (tmp_path / "dir", tmp_path / "dir"),
+        "trace-under-file": (tmp_path / "notadir" / "x.jsonl", tmp_path / "notadir"),
+        "trace-under-absent": (tmp_path / "absent" / "x.jsonl", tmp_path / "absent"),
+        "baseline-json-dir": (None, tmp_path / "out" / "baseline.json"),
+    }[case]
+    argv = ["eval", "[4,1,0,0,0,0,32,32,32,32]"] if command == "eval" else ["baseline", "--out", tmp_path / "out"]
+    before = sorted((str(p), p.read_bytes() if p.is_file() else None) for p in tmp_path.rglob("*"))
+    assert run_cli(*argv, "--mnist-dir", tmp_path / "missing", *(["--trace", trace] if trace else [])) == 1
+    assert f"{named} is" in capsys.readouterr().err
+    assert sorted((str(p), p.read_bytes() if p.is_file() else None) for p in tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["eval", "[4,1,0,0,0,0,32,32,32,32]", "--workers", "7"],
@@ -349,6 +373,21 @@ def test_report_is_idempotent(campaign_dir):
     before = _campaign_bytes(campaign_dir)
     assert run_cli("report", campaign_dir) == 0
     assert _campaign_bytes(campaign_dir) == before
+
+
+def test_read_campaign_takes_one_hypervolume_per_logged_front(campaign_dir, monkeypatch):
+    manifest = json.loads((campaign_dir / metrics.MANIFEST_FILE).read_text())
+    # the positivity rule and the renderer share one volume per front
+    calls = []
+    real = metrics.hypervolume
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "hypervolume", spy)
+    metrics.read_campaign(campaign_dir)
+    assert len(calls) == manifest["runs"] * (manifest["generations"] + 1)
 
 
 def test_report_rebuilds_deleted_outputs(campaign_dir, tmp_path):

@@ -106,10 +106,10 @@ def test_batches_and_test_chunks_decode_as_the_float32_loader(tmp_path, monkeypa
     rng = np.random.default_rng(2)
     for shard in data.partition(ds, 3, seed=4):
         for positions in (np.arange(shard.count), rng.integers(0, shard.count, 64)):
-            batch = shard.take(positions)
-            assert batch.images.dtype == np.float32
-            assert batch.images.tobytes() == oracle.images[shard.rows[positions]].tobytes()
-            assert batch.labels.tobytes() == oracle.labels[shard.rows[positions]].tobytes()
+            images, labels = shard.take(positions)
+            assert images.dtype == np.float32
+            assert images.tobytes() == oracle.images[shard.rows[positions]].tobytes()
+            assert labels.tobytes() == oracle.labels[shard.rows[positions]].tobytes()
     # 600 rows: two whole EVAL_CHUNKs and a partial one
     seen = []
     real_forward = nn.forward
@@ -176,7 +176,7 @@ def test_load_holds_one_chunk_beside_the_result(tmp_path, count):
 
 def _rows(shard) -> data.LabeledDataset:
     """Every example of a shard, read through its take."""
-    return shard.take(np.arange(shard.count))
+    return data.LabeledDataset(*shard.take(np.arange(shard.count)))
 
 
 def _row_multiset(ds: data.LabeledDataset) -> set:
@@ -235,9 +235,9 @@ def test_shard_batches_equal_copied_shards(seed):
     for view, copy in zip(views, copies, strict=True):
         assert view.count == copy.count
         for positions in (np.arange(view.count), rng.permutation(view.count), rng.integers(0, view.count, 16)):
-            got, want = view.take(positions), copy.take(positions)
-            assert got.images.tobytes() == want.images.tobytes()
-            assert got.labels.tobytes() == want.labels.tobytes()
+            (images, labels), (want_images, want_labels) = view.take(positions), copy.take(positions)
+            assert images.tobytes() == want_images.tobytes()
+            assert labels.tobytes() == want_labels.tobytes()
 
 
 def test_partition_copies_no_rows():
@@ -297,6 +297,14 @@ def test_take_equals_fancy_indexing():
     assert np.array_equal(subset.images, ds.images[idx])
     assert np.array_equal(subset.labels, ds.labels[idx])
     assert subset.count == 5
+
+
+def test_take_checks_the_rows_it_gathers(tmp_path):
+    ds = data.load_idx(*_byte_files(tmp_path, 8, 3))
+    ds.labels[5] = 10
+    assert ds.take(np.array([0, 4])).count == 2
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 9\]"):
+        ds.take(np.array([0, 5]))
 
 
 def test_external_dataset_still_checked():

@@ -187,7 +187,7 @@ def _reference_fedavg(genome, env, seed):
                     pos[k] = 0
                 idx = orders[k][pos[k] : pos[k] + train.batch_size]
                 pos[k] += train.batch_size
-                local = nn.sgd_step(local, part[k].take(idx), train)
+                local = nn.sgd_step(local, *part[k].take(idx), train)
             local_models.append(local)
         global_model = federation.aggregate(local_models)
     return global_model
@@ -221,7 +221,7 @@ def test_dropped_positions_keep_global_value():
         assert np.array_equal(got[dropped], w0[dropped])
 
 
-def _no_training(params, batch, cfg):
+def _no_training(params, images, labels, cfg):
     raise AssertionError("sgd_step ran before the run was rejected")
 
 
@@ -299,8 +299,8 @@ def test_one_pass_codec_run_matches_snap_loop_oracle(monkeypatch):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_local_model_raises_before_upload(monkeypatch, value):
-    def poisoned_step(params, batch, cfg):
-        out = nn.sgd_step(params, batch, cfg)
+    def poisoned_step(params, images, labels, cfg):
+        out = nn.sgd_step(params, images, labels, cfg)
         out.arrays[1][0] = value
         return out
 

@@ -83,7 +83,7 @@ def test_forward_shape_mismatch():
 def test_zero_learning_rate_keeps_params():
     params = nn.build_model(nn.fully_connected(), seed=0)
     batch = make_synthetic(8, 0)
-    after = nn.sgd_step(params, batch, nn.TrainConfig(0.0, 8))
+    after = nn.sgd_step(params, batch.images, batch.labels, nn.TrainConfig(0.0, 8))
     assert all(np.array_equal(a, b) for a, b in zip(params.arrays, after.arrays))
 
 
@@ -91,15 +91,21 @@ def test_sgd_step_reduces_single_example_loss():
     params = nn.build_model(nn.fully_connected(), seed=0)
     batch = make_synthetic(1, 5)
     before, _ = nn.loss_and_gradients(params, batch.images, batch.labels)
-    stepped = nn.sgd_step(params, batch, nn.TrainConfig(0.1, 1))
+    stepped = nn.sgd_step(params, batch.images, batch.labels, nn.TrainConfig(0.1, 1))
     after, _ = nn.loss_and_gradients(stepped, batch.images, batch.labels)
     assert after < before
+
+
+def test_sgd_step_rejects_an_empty_batch():
+    params = nn.build_model(nn.fully_connected(), seed=0)
+    with pytest.raises(ValueError, match="non-empty"):
+        nn.sgd_step(params, np.zeros((0, 784), np.float32), np.zeros(0, np.int64), nn.TrainConfig(0.1, 8))
 
 
 def test_sgd_step_preserves_parameter_counts():
     params = nn.build_model(nn.convolutional(), seed=0)
     batch = make_synthetic(2, 6)
-    after = nn.sgd_step(params, batch, nn.TrainConfig(0.05, 2))
+    after = nn.sgd_step(params, batch.images, batch.labels, nn.TrainConfig(0.05, 2))
     assert [a.size for a in after.arrays] == [a.size for a in params.arrays]
 
 
@@ -338,9 +344,8 @@ def test_training_step_matches_copying_oracle(spec, dtype, batch, scale, lr, see
     assert got[0].hex() == ref[0].hex()
     assert [(g.dtype, g.shape, g.tobytes()) for g in got[1]] == [(r.dtype, r.shape, r.tobytes()) for r in ref[1]]
 
-    batch_ds = LabeledDataset(images, labels)
-    stepped = nn.sgd_step(params, batch_ds, nn.TrainConfig(lr, batch))
-    reference = copying_sgd_step(params, batch_ds, nn.TrainConfig(lr, batch))
+    stepped = nn.sgd_step(params, images, labels, nn.TrainConfig(lr, batch))
+    reference = copying_sgd_step(params, images, labels, nn.TrainConfig(lr, batch))
     assert [(a.dtype, a.tobytes()) for a in stepped.arrays] == [(r.dtype, r.tobytes()) for r in reference.arrays]
 
 
@@ -395,5 +400,5 @@ def test_training_leaves_caller_arrays_unchanged(spec, dtype):
     before = [a.tobytes() for a in params.arrays], images.tobytes(), labels.tobytes()
     nn.forward(params, images)
     nn.loss_and_gradients(params, images, labels)
-    nn.sgd_step(params, LabeledDataset(images, labels), nn.TrainConfig(0.1, 8))
+    nn.sgd_step(params, images, labels, nn.TrainConfig(0.1, 8))
     assert ([a.tobytes() for a in params.arrays], images.tobytes(), labels.tobytes()) == before

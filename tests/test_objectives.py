@@ -147,7 +147,7 @@ def test_failed_training_becomes_zero_accuracy(tiny_env):
 
 
 def test_non_finite_local_model_marks_genome_failed(tiny_env, monkeypatch):
-    def overflowing_step(params, batch, cfg):
+    def overflowing_step(params, images, labels, cfg):
         return nn.ModelParams(params.spec, [np.full_like(a, np.inf) for a in params.arrays])
 
     monkeypatch.setattr(federation, "sgd_step", overflowing_step)
