@@ -227,13 +227,17 @@ def _mnist_dir(options: dict) -> Path:
     return path
 
 
-def _out_dir(options: dict) -> Path:
+def _out_dir(options: dict, names: list[str]) -> Path:
     """--out, checked before any data is read: the nearest existing path at
-    or above it must be a directory. Creates nothing."""
+    or above it must be a directory, and none of the files `names` that the
+    command writes in it may be a directory. Creates nothing."""
     out = Path(options["out"])
     existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
     if not existing.is_dir():
         raise ConfigError(f"--out {out}: {existing} is not a directory")
+    for name in names:
+        if (out / name).is_dir():
+            raise ConfigError(f"--out {out}: {out / name} is a directory")
     return out
 
 
@@ -294,14 +298,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if options["model"] == "fc" and options["workers"] > 1:
         # fc evaluation is mostly Python code, which the interpreter lock serialises
         print(f"note: --workers {options['workers']} does not speed up fc evaluation; --workers 1 is as fast", file=sys.stderr)
-    out = _out_dir(options)
+    stale = [*(name for k in range(1, options["runs"] + 1) for name in metrics.run_files(k)), *metrics.MERGED_FILES]
+    out = _out_dir(options, [*stale, metrics.MANIFEST_FILE])
     train, test = _load_datasets(options)
     spec = MODEL_SPECS[options["model"]]()
     bounds = Bounds(options["n_clients"], spec.n_arrays, BOUNDS_PRESETS[options["bounds"]])
     out.mkdir(parents=True, exist_ok=True)
     # an older campaign's files must not pass for this one's if it is killed
-    stale = [name for k in range(1, options["runs"] + 1) for name in metrics.run_files(k)]
-    for name in [*stale, *metrics.MERGED_FILES]:
+    for name in stale:
         (out / name).unlink(missing_ok=True)
     metrics.write_json(out / metrics.MANIFEST_FILE, _campaign_manifest(options, bounds))
 
@@ -379,14 +383,11 @@ def _check_trace_flags(args: argparse.Namespace) -> None:
 def cmd_baseline(args: argparse.Namespace) -> int:
     _check_trace_flags(args)
     options = resolve_options(args)
-    out = _out_dir(options)
-    target = out / "baseline.json"
-    if target.is_dir():
-        raise ConfigError(f"--out {out}: {target} is a directory")
+    out = _out_dir(options, ["baseline.json"])
     env = _make_env(options, *_load_datasets(options), options["seed"])
     payload = _simulate_payload(brute_force_genome(env.n_clients, env.spec.n_arrays), env, args)
     out.mkdir(parents=True, exist_ok=True)
-    metrics.write_json(target, payload)
+    metrics.write_json(out / "baseline.json", payload)
     print(json.dumps(payload["objectives"]))
     return EXIT_OK
 

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
-from .codec import MAX_BITS, MAX_DROP_PERCENT, dequantize, quantize, sparsify
+from .codec import dequantize, quantize, sparsify
 from .nn import ModelParams, NumericError, build_model, count_correct, sgd_step
 
 if TYPE_CHECKING:  # objectives imports this module, so its types are named for checkers only
@@ -96,30 +96,16 @@ def run_federated_training(
     After each round, `trace` (if given) is called with the round's row of
     selected clients and traffic, and the new global model.
 
-    Deterministic given (genome, env, seed). Raises ValueError, before any
-    training, on a genome or env that describes no run, and NumericError
-    when training or a local model about to be uploaded holds non-finite
-    values.
+    Deterministic given (genome, env, seed). Genome and EvalEnv check
+    themselves when built; this raises ValueError, before any training,
+    only when the genome does not fit the env, and NumericError when
+    training or a local model about to be uploaded holds non-finite values.
     """
     part, test, spec, train = env.partition, env.test, env.spec, env.train
     n_clients = len(part)
-    if not 1 <= genome.participants <= n_clients:
-        raise ValueError(f"participants must lie in [1, {n_clients}], got {genome.participants}")
-    if genome.interval < 1:
-        raise ValueError(f"interval must be at least 1, got {genome.interval}")
-    if env.epochs < 1:
-        raise ValueError(f"epochs must be at least 1, got {env.epochs}")
-    if genome.n_layers != spec.n_arrays:
-        raise ValueError(f"genome has genes for {genome.n_layers} parameter arrays, the model has {spec.n_arrays}")
-    for i, (bits, drop) in enumerate(zip(genome.bit_widths, genome.drop_percents)):
-        if not 1 <= bits <= MAX_BITS:
-            raise ValueError(f"bit width of array {i} must lie in [1, {MAX_BITS}], got {bits}")
-        if not 0 <= drop <= MAX_DROP_PERCENT:
-            raise ValueError(f"drop percent of array {i} must lie in [0, {MAX_DROP_PERCENT}], got {drop}")
-    if any(s.count == 0 for s in part):
-        raise ValueError("every client shard must be non-empty")
-    if test.count == 0:
-        raise ValueError("test set must be non-empty")
+    if genome.participants > n_clients or genome.n_layers != spec.n_arrays:
+        raise ValueError(f"genome selects {genome.participants} participants with genes for {genome.n_layers} parameter"
+                         f" arrays; the env has {n_clients} clients and a model of {spec.n_arrays} arrays")
 
     sizes = spec.param_shapes
     theta = 32 * spec.total_params

@@ -135,8 +135,11 @@ class TrainConfig:
             raise ValueError("learning_rate must be non-negative")
         # sgd_step applies the rate in the parameter dtype, float32 by default
         with np.errstate(over="ignore"):
-            if not np.isfinite(np.float32(self.learning_rate)):
-                raise ValueError(f"learning_rate {self.learning_rate} is not finite in float32")
+            rate = np.float32(self.learning_rate)
+        if not np.isfinite(rate):
+            raise ValueError(f"learning_rate {self.learning_rate} is not finite in float32")
+        if self.learning_rate > 0 and rate == 0:
+            raise ValueError(f"learning_rate {self.learning_rate} rounds to 0 in float32")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
 

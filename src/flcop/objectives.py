@@ -57,6 +57,8 @@ class Genome:
     def __post_init__(self):
         if len(self.drop_percents) != len(self.bit_widths):
             raise ValueError("drop_percents and bit_widths must have equal length")
+        # the ranges every problem shares; a problem's own Bounds also cap m and E
+        self.validate(Bounds(math.inf, self.n_layers, math.inf))
 
     @property
     def n_layers(self) -> int:
@@ -133,6 +135,12 @@ class EvalEnv:
     epochs: int
     seed: int
     init_seed: int = 0
+
+    def __post_init__(self):
+        if not self.partition or min(s.count for s in self.partition) == 0 or self.test.count == 0:
+            raise ValueError("an env needs one or more client shards, none empty, and a non-empty test set")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
 
     @property
     def n_clients(self) -> int:

@@ -216,6 +216,14 @@ def test_learning_rate_overflowing_float32_rejected(fixture_mnist_dir, capsys):
         assert "--lr" in capsys.readouterr().err
 
 
+def test_learning_rate_rounding_to_zero_in_float32_rejected(tmp_path, capsys):
+    genome = "[4,1,0,0,0,0,32,32,32,32]"
+    argv = ["eval", genome, "--layer-sizes", "1,1,1,1", "--mnist-dir", tmp_path / "missing"]
+    assert run_cli(*argv, "--lr", "1e-50") == 1
+    assert "--lr: learning_rate 1e-50 rounds to 0 in float32" in capsys.readouterr().err
+    assert run_cli(*argv, "--lr", "1e-45") == 0
+
+
 @pytest.mark.parametrize("flag", ["--train-limit", "--test-limit"])
 def test_limits_below_one_are_config_errors(fixture_mnist_dir, tmp_path, capsys, flag):
     for limit in (0, -3):
@@ -266,6 +274,17 @@ def test_out_under_a_file_is_config_error_before_data(tmp_path, capsys, command,
     assert f"{blocker} is not a directory" in capsys.readouterr().err
     assert blocker.read_bytes() == b"kept"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["notadir"]
+
+
+@pytest.mark.parametrize("name", ["pareto_run2.csv", "generations_run1.jsonl", "campaign.json", "summary.json"])
+def test_directory_at_a_campaign_file_is_config_error_before_data(tmp_path, capsys, name):
+    # the MNIST directory is missing, so a check made after the data is read
+    # would exit 2; summary.json was written only after the whole campaign
+    (tmp_path / "out" / name).mkdir(parents=True)
+    argv = ["optimize", "--mnist-dir", tmp_path / "missing", "--out", tmp_path / "out", "--runs", 2]
+    assert run_cli(*argv) == 1
+    assert f"{tmp_path / 'out' / name} is a directory" in capsys.readouterr().err
+    assert [p.relative_to(tmp_path).as_posix() for p in sorted(tmp_path.rglob("*"))] == ["out", f"out/{name}"]
 
 
 @pytest.mark.parametrize(

@@ -237,18 +237,18 @@ def test_run_rejects_bad_inputs(monkeypatch):
 @pytest.mark.parametrize(
     "settings, genes, match",
     [
-        (dict(participants=0), None, "participants"),
-        (dict(participants=5), None, "participants"),
-        (dict(interval=0), None, "interval"),
-        (dict(epochs=0), None, "epochs"),
+        (dict(participants=0), None, r"^m=0 outside \[1, inf\]$"),
+        (dict(participants=5), None, "selects 5 participants"),
+        (dict(interval=0), None, r"^E=0 outside \[1, inf\]$"),
+        (dict(epochs=0), None, "^epochs must be at least 1, got 0$"),
         ({}, ((0,) * 3, (32,) * 3), "genes for 3 parameter arrays"),
         ({}, ((0,) * 5, (32,) * 5), "genes for 5 parameter arrays"),
-        (dict(bits=0), None, "bit width"),
-        (dict(bits=33), None, "bit width"),
-        ({}, ((0, 0, 0, 0), (8, 8, 40, 8)), "bit width of array 2"),
-        (dict(drop=-1), None, "drop percent"),
-        (dict(drop=51), None, "drop percent"),
-        ({}, ((0, 60, 0, 0), (8, 8, 8, 8)), "drop percent of array 1"),
+        (dict(bits=0), None, r"^b_1=0 outside \[1, 32\]$"),
+        (dict(bits=33), None, r"^b_1=33 outside \[1, 32\]$"),
+        ({}, ((0, 0, 0, 0), (8, 8, 40, 8)), r"^b_3=40 outside \[1, 32\]$"),
+        (dict(drop=-1), None, r"^mu_1=-1 outside \[0, 50\]$"),
+        (dict(drop=51), None, r"^mu_1=51 outside \[0, 50\]$"),
+        ({}, ((0, 60, 0, 0), (8, 8, 8, 8)), r"^mu_2=60 outside \[0, 50\]$"),
     ],
     ids=[
         "participants-0", "participants-5", "interval-0", "epochs-0", "3-arrays", "5-arrays",
@@ -258,10 +258,11 @@ def test_run_rejects_bad_inputs(monkeypatch):
 def test_run_rejects_bad_settings_before_training(monkeypatch, settings, genes, match):
     monkeypatch.setattr(federation, "sgd_step", _no_training)
     train = make_synthetic(64, 13)
-    genome, env = _run(partition(train, 4, seed=6), train, **settings)
-    if genes is not None:
-        genome = Genome(genome.participants, genome.interval, *genes)
+    # a genome or env out of range fails as it is built, a misfit in the run
     with pytest.raises(ValueError, match=match):
+        genome, env = _run(partition(train, 4, seed=6), train, **settings)
+        if genes is not None:
+            genome = Genome(genome.participants, genome.interval, *genes)
         federation.run_federated_training(genome, env, seed=0)
 
 

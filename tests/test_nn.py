@@ -116,6 +116,14 @@ def test_learning_rate_must_be_finite_in_float32():
     assert nn.TrainConfig(float(np.finfo(np.float32).max), 64).batch_size == 64
 
 
+def test_positive_learning_rate_must_not_round_to_zero_in_float32():
+    # sgd_step would apply np.float32(1e-50) == 0.0 and train nothing
+    with pytest.raises(ValueError, match="rounds to 0 in float32"):
+        nn.TrainConfig(1e-50, 64)
+    assert nn.TrainConfig(0.0, 64).learning_rate == 0.0
+    assert np.float32(nn.TrainConfig(1e-45, 64).learning_rate) > 0  # a float32 subnormal
+
+
 def test_non_finite_gradient_reports_layer():
     params = nn.build_model(TOY_FC, seed=0, dtype=np.float64)
     params.arrays[2][0] = np.nan

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flcop import federation, nn, objectives
 from flcop.codec import MAX_BITS, MAX_DROP_PERCENT
-from flcop.data import partition
+from flcop.data import Shard, partition
 from flcop.federation import run_federated_training
 from flcop.objectives import Bounds, EvalEnv, Genome, comm_fraction
 from conftest import layer_specs, make_synthetic, payload_bits, random_genome
@@ -235,3 +235,43 @@ def test_validate_rejects_out_of_bounds():
         Genome(4, 1, (0, 60), (32, 32)).validate(bounds)
     with pytest.raises(ValueError):
         Genome(4, 1, (0, 0), (32, 0)).validate(bounds)
+
+
+@st.composite
+def genome_cases(draw):
+    """Bounds of a random problem and a vector inside its ranges."""
+    bounds = Bounds(draw(st.integers(1, 8)), draw(st.integers(1, 5)), draw(st.integers(1, 1000)))
+    return bounds, [draw(st.integers(lo, hi)) for lo, hi in bounds.coordinate_ranges()]
+
+
+@given(genome_cases(), st.data())
+def test_genome_checks_the_ranges_every_problem_shares(case, data):
+    bounds, vec = case
+    assert Genome.from_vector(vec).to_vector() == tuple(vec)
+    i = data.draw(st.integers(0, len(vec) - 1), label="coordinate")
+    lo, hi = bounds.coordinate_ranges()[i]
+    name = bounds.coordinate_names()[i]
+    outside = [lo - 1, hi + 1] if i >= 2 else [lo - 1]
+    for value in outside:
+        with pytest.raises(ValueError, match=rf"^{name}={value} outside "):
+            Genome.from_vector([*vec[:i], value, *vec[i + 1 :]])
+    if i < 2:
+        # a problem's own Bounds cap m and E; the genome alone does not
+        assert Genome.from_vector([*vec[:i], hi + 1, *vec[i + 1 :]]).to_vector()[i] == hi + 1
+
+
+@pytest.mark.parametrize("field", ["no-shards", "empty-shard", "empty-test", "epochs-0"])
+def test_eval_env_rejects_a_setting_that_describes_no_run(field):
+    train, test = make_synthetic(64, 13), make_synthetic(16, 14)
+    part = partition(train, 4, seed=6)
+    none = np.array([], np.int64)
+    fields = dict(spec=nn.fully_connected(), partition=part, test=test, train=nn.TrainConfig(0.1, 32), epochs=1, seed=0)
+    assert EvalEnv(**fields).step_budget == 1
+    bad = {
+        "no-shards": dict(partition=()),
+        "empty-shard": dict(partition=(*part[:3], Shard(train, none))),
+        "empty-test": dict(test=test.take(none)),
+        "epochs-0": dict(epochs=0),
+    }[field]
+    with pytest.raises(ValueError, match="epochs must be at least 1" if field == "epochs-0" else "client shards"):
+        EvalEnv(**{**fields, **bad})
