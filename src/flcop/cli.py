@@ -28,7 +28,9 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from . import data, metrics, nn, nsga2, objectives
 from .nn import TrainConfig
@@ -227,17 +229,18 @@ def _mnist_dir(options: dict) -> Path:
     return path
 
 
-def _out_dir(options: dict, names: list[str]) -> Path:
-    """--out, checked before any data is read: the nearest existing path at
-    or above it must be a directory, and none of the files `names` that the
-    command writes in it may be a directory. Creates nothing."""
-    out = Path(options["out"])
+def _out_dir(out, writes: Callable[[str], bool], flag: str = "--out") -> Path:
+    """The output directory out, checked before any data is read: the nearest
+    existing path at or above it must be a directory, and no entry of it
+    whose name `writes` accepts, a file the command writes, may be a
+    directory. Reads only the entries out holds, and creates nothing."""
+    out = Path(out)
     existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
     if not existing.is_dir():
-        raise ConfigError(f"--out {out}: {existing} is not a directory")
-    for name in names:
-        if (out / name).is_dir():
-            raise ConfigError(f"--out {out}: {out / name} is a directory")
+        raise ConfigError(f"{flag} {out}: {existing} is not a directory")
+    for path in sorted(out.iterdir()) if out.is_dir() else ():
+        if writes(path.name) and path.is_dir():
+            raise ConfigError(f"{flag} {out}: {path} is a directory")
     return out
 
 
@@ -298,15 +301,16 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if options["model"] == "fc" and options["workers"] > 1:
         # fc evaluation is mostly Python code, which the interpreter lock serialises
         print(f"note: --workers {options['workers']} does not speed up fc evaluation; --workers 1 is as fast", file=sys.stderr)
-    stale = [*(name for k in range(1, options["runs"] + 1) for name in metrics.run_files(k)), *metrics.MERGED_FILES]
-    out = _out_dir(options, [*stale, metrics.MANIFEST_FILE])
+    ours = partial(metrics.is_campaign_file, runs=options["runs"])
+    out = _out_dir(options["out"], ours)
     train, test = _load_datasets(options)
     spec = MODEL_SPECS[options["model"]]()
     bounds = Bounds(options["n_clients"], spec.n_arrays, BOUNDS_PRESETS[options["bounds"]])
     out.mkdir(parents=True, exist_ok=True)
     # an older campaign's files must not pass for this one's if it is killed
-    for name in stale:
-        (out / name).unlink(missing_ok=True)
+    for path in sorted(out.iterdir()):
+        if ours(path.name):
+            path.unlink()
     metrics.write_json(out / metrics.MANIFEST_FILE, _campaign_manifest(options, bounds))
 
     with ThreadPoolExecutor(options["workers"]) as pool:
@@ -321,7 +325,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             # the run's environment lives only inside the call; its shards are
             # index views onto `train`, so a run adds no copy of the rows
             result = _search(pool, _make_env(options, train, test, run_seed), params)
-            metrics.write_run(out, run_id, result.history, bounds.n_layers)
+            metrics.write_run(out, run_id, result.history, options["pop"])
             print(f"run {run_id}/{options['runs']}: front size {len(result.history[-1].front)}, evaluations {result.evaluations}")
 
     return report(out)
@@ -383,7 +387,7 @@ def _check_trace_flags(args: argparse.Namespace) -> None:
 def cmd_baseline(args: argparse.Namespace) -> int:
     _check_trace_flags(args)
     options = resolve_options(args)
-    out = _out_dir(options, ["baseline.json"])
+    out = _out_dir(options["out"], lambda name: name == "baseline.json")
     env = _make_env(options, *_load_datasets(options), options["seed"])
     payload = _simulate_payload(brute_force_genome(env.n_clients, env.spec.n_arrays), env, args)
     out.mkdir(parents=True, exist_ok=True)
@@ -455,7 +459,7 @@ def report(out: Path) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    return report(Path(args.dir))
+    return report(_out_dir(args.dir, lambda name: name in metrics.MERGED_FILES, "report"))
 
 
 COMMANDS = {

@@ -7,15 +7,16 @@ reference point (1.0, 0.0) is the worst corner of that box.
 It also owns the campaign directory and a run's one in-memory form, a list
 of `GenerationRecord`s: `write_run` writes a run's records as its files,
 `read_campaign` checks every file and returns the records that were written,
-and `export_campaign` builds the merged outputs from them. A record holds no
-front hypervolume: every front's volume, in the files and the summary, is
-computed here from the front itself.
+and `export_campaign` builds the merged outputs from them. A record holds a
+front and the archive's volume; a generation's number, evaluation count and
+front volume are computed here, from its place in the history and its front.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
@@ -182,28 +183,26 @@ def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8", newline="\n")
 
 
-def _pareto_text(points: Iterable[ParetoPoint], n_layers: int) -> str:
-    header = ",".join(["run", "gen", "f1", "f2", *Bounds(1, n_layers).coordinate_names()])
+def _pareto_text(points: Sequence[ParetoPoint]) -> str:
+    header = ",".join(["run", "gen", "f1", "f2", *Bounds(1, points[0].genome.n_layers).coordinate_names()])
     return _csv_text(header, ([p.run_id, p.generation, p.comm, p.accuracy, *p.genome.to_vector()] for p in points))
 
 
 @dataclass
 class GenerationRecord:
     """One generation of a run, as the search knows it: its first front as
-    (objectives, genes) pairs, the hypervolume of the run's archive, and the
-    evaluations made so far. The front's own hypervolume is a function of the
-    front, computed where the front is written."""
+    (objectives, genes) pairs and the hypervolume of the run's archive. Its
+    number g is its index in the history; its evaluation count pop * (g + 1)
+    and its front's hypervolume are computed where the record is written."""
 
-    generation: int
     front: list[tuple[tuple[float, ...], tuple[int, ...]]]
     hv_archive: float
-    evaluations: int
 
 
 def final_front(run_id: int, history: Sequence[GenerationRecord]) -> list[ParetoPoint]:
     """The last generation's front, sorted by (f1, f2, genes)."""
-    last = history[-1]
-    return [ParetoPoint(*objs, Genome.from_vector(genes), run_id, last.generation) for objs, genes in sorted(last.front)]
+    gen = len(history) - 1
+    return [ParetoPoint(*objs, Genome.from_vector(genes), run_id, gen) for objs, genes in sorted(history[gen].front)]
 
 
 HV_HEADER = "gen,hv,evals,hv_archive"
@@ -216,19 +215,30 @@ def run_files(run_id: int) -> tuple[str, str, str]:
     return f"pareto_run{run_id}.csv", f"hypervolume_run{run_id}.csv", f"generations_run{run_id}.jsonl"
 
 
-def _run_texts(run_id: int, history: Sequence[GenerationRecord], hvs: Sequence[float], n_layers: int) -> tuple[str, str, str]:
-    """The texts of run_files(run_id), given each front's hypervolume in hvs:
-    the final front, the hypervolume trace, and one JSON line per generation."""
-    trace = _csv_text(HV_HEADER, [(r.generation, hv, r.evaluations, r.hv_archive) for r, hv in zip(history, hvs)])
-    log = ({"gen": r.generation, "front1": [[*objs, genes] for objs, genes in r.front], "hypervolume": hv,
-            "evals": r.evaluations} for r, hv in zip(history, hvs))
-    return _pareto_text(final_front(run_id, history), n_layers), trace, "".join(json.dumps(line) + "\n" for line in log)
+def is_campaign_file(name: str, runs: int) -> bool:
+    """Whether a campaign of `runs` runs writes a file of this name: its
+    manifest, a merged output, or a file of run k in 1 .. runs. Builds the
+    names of one run at most, however large runs is."""
+    if name == MANIFEST_FILE or name in MERGED_FILES:
+        return True
+    number = re.search("[0-9]+", name)
+    return number is not None and 1 <= int(number[0]) <= runs and name in run_files(int(number[0]))
 
 
-def write_run(out_dir, run_id: int, history: Sequence[GenerationRecord], n_layers: int) -> None:
-    """Write one run's files into out_dir from its GenerationRecords."""
+def _run_texts(run_id: int, history: Sequence[GenerationRecord], hvs: Sequence[float], pop: int) -> tuple[str, str, str]:
+    """The texts of run_files(run_id), given each front's volume in hvs: the final front,
+    the volume trace, and one JSON line per gen g, after pop * (g + 1) evaluations."""
+    rows = [(g, r, hv, pop * (g + 1)) for g, (r, hv) in enumerate(zip(history, hvs))]
+    trace = _csv_text(HV_HEADER, [(g, hv, evals, r.hv_archive) for g, r, hv, evals in rows])
+    log = ({"gen": g, "front1": [[*objs, genes] for objs, genes in r.front], "hypervolume": hv, "evals": evals}
+           for g, r, hv, evals in rows)
+    return _pareto_text(final_front(run_id, history)), trace, "".join(json.dumps(line) + "\n" for line in log)
+
+
+def write_run(out_dir, run_id: int, history: Sequence[GenerationRecord], pop: int) -> None:
+    """Write one run's files into out_dir from its GenerationRecords, pop evaluations per generation."""
     hvs = [hypervolume([objs for objs, _ in r.front]) for r in history]
-    for name, text in zip(run_files(run_id), _run_texts(run_id, history, hvs, n_layers)):
+    for name, text in zip(run_files(run_id), _run_texts(run_id, history, hvs, pop)):
         (Path(out_dir) / name).write_text(text, encoding="utf-8", newline="\n")
 
 
@@ -316,10 +326,9 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[GenerationRecord]]]:
                 if (positive or hv > 0.0) and hv_archive == 0.0:
                     raise ValueError(f"gen {gen} needs a positive hv_archive after a positive volume, hv {hv}")
                 positive = hv_archive > 0.0
-            history = [GenerationRecord(gen, front, hv_archive, pop * (gen + 1))
-                       for gen, (front, hv_archive) in enumerate(zip(fronts, archive))]
+            history = [GenerationRecord(front, hv_archive) for front, hv_archive in zip(fronts, archive)]
             # the log first: it is the source of the other two
-            for path, text in reversed(list(zip(paths, _run_texts(k, history, hvs, bounds.n_layers)))):
+            for path, text in reversed(list(zip(paths, _run_texts(k, history, hvs, pop)))):
                 disk, text = path.read_bytes(), text.encode("utf-8")
                 if disk != text:
                     line = next(n for n, (a, b) in enumerate(zip_longest(disk.split(b"\n"), text.split(b"\n")), 1) if a != b)
@@ -358,7 +367,7 @@ GENOME_STATS_HEADER = "kind,coord,q1,median,q3"
 
 
 def build_summary(merged: Sequence[ParetoPoint], histories: Sequence[Sequence[GenerationRecord]], manifest: dict) -> dict:
-    """The campaign summary; each run's figures come from its last record."""
+    """The campaign summary; each run's figures come from its last record and the manifest's pop."""
     per_run = []
     for k, history in enumerate(histories, start=1):
         last = history[-1]
@@ -370,7 +379,7 @@ def build_summary(merged: Sequence[ParetoPoint], histories: Sequence[Sequence[Ge
             "min_f1": min(f1 for f1, _ in front),
             "final_hv": hypervolume(front),
             "final_hv_archive": last.hv_archive,
-            "evaluations": last.evaluations,
+            "evaluations": manifest["pop"] * len(history),
         })
     return {
         "config": manifest,
@@ -389,7 +398,7 @@ def export_campaign(out_dir, manifest: dict, bounds: Bounds, histories: Sequence
     merged_name, stats_name, summary_name = MERGED_FILES
     run_fronts = [final_front(k, history) for k, history in enumerate(histories, start=1)]
     merged = merge_pseudo_optimal(run_fronts)
-    (out / merged_name).write_text(_pareto_text(merged, bounds.n_layers), encoding="utf-8", newline="\n")
+    (out / merged_name).write_text(_pareto_text(merged), encoding="utf-8", newline="\n")
     write_csv(out / stats_name, GENOME_STATS_HEADER, genome_stats_rows(run_fronts, bounds))
     summary = build_summary(merged, histories, manifest)
     write_json(out / summary_name, summary)

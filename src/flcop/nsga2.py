@@ -10,8 +10,8 @@ reproduces a run exactly regardless of how the evaluator parallelizes.
 
 Each generation runs one non-dominated sort: `replacement` sorts parents plus
 offspring, and sets the rank and crowding of each survivor as it keeps it.
-The run's history holds only what the search knows; a front's hypervolume,
-a function of the front alone, is left to whoever reads the front.
+The history holds what the search knows: each generation's first front and
+archive volume. Whoever writes it derives the rest: gen, evals, front volume.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ def replacement(parents: list[Individual], offspring: list[Individual], directio
 
 
 class Archive:
-    """Every non-dominated (objectives, genome, generation) entry seen so far.
+    """Every non-dominated point seen so far: `entries` maps (objectives, genome) to its generation.
 
     `update` compares only the new points: they are filtered against each
     other and against the archive, and the archive members a surviving new
@@ -197,10 +197,9 @@ class Archive:
     """
 
     def __init__(self, directions: Sequence[int]):
-        self.entries: list[tuple[tuple[float, ...], Vector, int]] = []
+        self.entries: dict[tuple[tuple[float, ...], Vector], int] = {}
         self.objectives = np.empty((0, len(directions)))  # one row per entry
         self._sign = np.asarray(directions, np.float64)
-        self._keys: set[tuple] = set()
 
     def update(self, points: Sequence[tuple[tuple[float, ...], Vector]], generation: int) -> None:
         """Add the non-dominated ones of these (objectives, genome) points."""
@@ -211,15 +210,14 @@ class Archive:
         new_kept = ~dominated_by(old, new * self._sign).any(axis=1)
         fresh, new = fresh[new_kept], new[new_kept]
         old_kept = ~dominated_by(new * self._sign, old).any(axis=1)
-        for k in np.flatnonzero(~old_kept).tolist():
-            self._keys.discard(self.entries[k][:2])
-        self.entries = [e for e, keep in zip(self.entries, old_kept.tolist()) if keep]
+        # del keeps the order and hashes only the keys that leave
+        for key in [key for key, kept in zip(self.entries, old_kept.tolist()) if not kept]:
+            del self.entries[key]
         added = []
         for row, i in enumerate(fresh.tolist()):
             key = (points[i][0], points[i][1])
-            if key not in self._keys:
-                self._keys.add(key)
-                self.entries.append((*key, generation))
+            if key not in self.entries:
+                self.entries[key] = generation
                 added.append(row)
         self.objectives = np.concatenate([self.objectives[old_kept], new[added]])
 
@@ -247,12 +245,12 @@ def run(
     """Full NSGA-II loop: evaluate a random population, then per generation
     select, cross, mutate, evaluate, and apply elitist replacement.
 
-    History records each generation's first front, its evaluation count
-    pop * (generation + 1) and, when hv_reference is given (else 0.0), the
-    hypervolume of the running archive of all non-dominated points seen so
-    far: one hypervolume per generation. The archive takes each generation's
-    new points incrementally (see Archive): its members are never compared
-    again.
+    History holds one record per generation, generation g at index g: its
+    first front and, when hv_reference is given (else 0.0), the hypervolume
+    of the running archive of all non-dominated points seen so far. The
+    archive takes each generation's new points incrementally (see Archive):
+    its members are never compared again. The result lists its entries as
+    (objectives, genome, generation) tuples, in archive order.
     """
     rng = np.random.default_rng(params.seed)
     bounds = np.asarray(params.bounds)
@@ -273,14 +271,14 @@ def run(
             ind.objectives = tuple(float(v) for v in objs)
         archive.update([(ind.objectives, ind.genome) for ind in individuals], generation)
 
-    def record(generation: int) -> None:
+    def record() -> None:
         front = [(ind.objectives, ind.genome) for ind in population if ind.rank == 1]
         hv_archive = 0.0 if hv_reference is None else _hv_in_box(archive.objectives, directions, hv_reference)
-        history.append(GenerationRecord(generation, front, hv_archive, params.population_size * (generation + 1)))
+        history.append(GenerationRecord(front, hv_archive))
 
     score(population, 0)
     replacement(population, [], directions)  # ranks in place; the list order feeds the tournament
-    record(0)
+    record()
 
     for generation in range(1, params.generations + 1):
         pairs = binary_tournament(population, params.population_size // 2, rng)
@@ -292,6 +290,7 @@ def run(
                 offspring.append(Individual(mutated))
         score(offspring, generation)
         population = replacement(population, offspring, directions)
-        record(generation)
+        record()
 
-    return SearchResult(population, history, archive.entries, history[-1].evaluations)
+    entries = [(*key, generation) for key, generation in archive.entries.items()]
+    return SearchResult(population, history, entries, params.population_size * (params.generations + 1))

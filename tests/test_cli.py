@@ -287,6 +287,52 @@ def test_directory_at_a_campaign_file_is_config_error_before_data(tmp_path, caps
     assert [p.relative_to(tmp_path).as_posix() for p in sorted(tmp_path.rglob("*"))] == ["out", f"out/{name}"]
 
 
+def test_huge_run_count_names_no_run_before_data(tmp_path, monkeypatch, capsys):
+    # only the entries --out holds are checked, so no name is built per run
+    calls = []
+    real = metrics.run_files
+
+    def counted(run_id):
+        calls.append(run_id)
+        if len(calls) > 100:
+            raise RuntimeError("run_files called for more than 100 runs")
+        return real(run_id)
+
+    monkeypatch.setattr(metrics, "run_files", counted)
+    argv = ["optimize", "--preset", "desk-fc", "--runs", 10**9, "--mnist-dir", tmp_path / "missing", "--out", tmp_path / "out"]
+    assert run_cli(*argv) == 2
+    assert "missing" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_campaign_deletes_only_the_files_it_writes(fixture_mnist_dir, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    others = {"pareto_run3.csv": b"run 3", "pareto_run02.csv": b"run 02", "notes.txt": b"notes"}
+    for name, text in {"pareto_run1.csv": b"run 1", **others}.items():
+        (out / name).write_bytes(text)
+
+    def killed(*args, **kwargs):
+        raise RuntimeError("killed during run 1")
+
+    monkeypatch.setattr(cli.nsga2, "run", killed)
+    assert run_cli("optimize", "--mnist-dir", fixture_mnist_dir, "--out", out, *CAMPAIGN_FLAGS) == 3
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.name != "campaign.json"} == others
+
+
+@pytest.mark.parametrize("name", metrics.MERGED_FILES)
+def test_report_with_a_directory_at_an_output_is_config_error_before_writing(campaign_dir, tmp_path, capsys, name):
+    out = tmp_path / "campaign"
+    shutil.copytree(campaign_dir, out)
+    (out / name).unlink()
+    (out / name).mkdir()
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    assert run_cli("report", out) == 1
+    assert f"{out / name} is a directory" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+    assert (out / name).is_dir() and not any((out / name).iterdir())
+
+
 @pytest.mark.parametrize(
     "command, case",
     [(command, case) for command in ("eval", "baseline") for case in ("trace-dir", "trace-under-file", "trace-under-absent")]

