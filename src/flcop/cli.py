@@ -72,8 +72,6 @@ PRESETS = {
     },
 }
 
-MODEL_SPECS = {"fc": nn.fully_connected, "conv": nn.convolutional}
-
 # the value types a config file may give each key; null is also accepted
 # where the default is None, and for preset and mnist_dir
 _CONFIG_TYPES = {key: (type(value),) for key, value in DEFAULTS.items() if value is not None}
@@ -99,7 +97,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mnist-dir", help="directory with the four MNIST IDX files (env FLCOP_MNIST_DIR)")
-    p.add_argument("--model", choices=("fc", "conv"))
+    p.add_argument("--model", choices=tuple(nn.MODELS))
     p.add_argument("--n-clients", type=int)
     p.add_argument("--train-limit", type=int, help="use only the first K examples of the seeded permutation")
     p.add_argument("--test-limit", type=int)
@@ -194,7 +192,7 @@ def resolve_options(args: argparse.Namespace) -> dict:
             options[key] = preset[key]
         else:
             options[key] = default
-    for key, choices in (("model", MODEL_SPECS), ("bounds", BOUNDS_PRESETS)):
+    for key, choices in (("model", nn.MODELS), ("bounds", BOUNDS_PRESETS)):
         if options[key] not in choices:
             raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {options[key]!r}")
     if options["generations"] is None:
@@ -263,7 +261,7 @@ def _load_datasets(options: dict):
 def _make_env(options: dict, train, test, run_seed: int) -> EvalEnv:
     part = data.partition(train, options["n_clients"], run_seed)
     return EvalEnv(
-        spec=MODEL_SPECS[options["model"]](),
+        spec=nn.MODELS[options["model"]](),
         partition=part,
         test=test,
         train=TrainConfig(options["lr"], options["batch_size"]),
@@ -304,7 +302,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     ours = partial(metrics.is_campaign_file, runs=options["runs"])
     out = _out_dir(options["out"], ours)
     train, test = _load_datasets(options)
-    spec = MODEL_SPECS[options["model"]]()
+    spec = nn.MODELS[options["model"]]()
     bounds = Bounds(options["n_clients"], spec.n_arrays, BOUNDS_PRESETS[options["bounds"]])
     out.mkdir(parents=True, exist_ok=True)
     # an older campaign's files must not pass for this one's if it is killed
@@ -428,7 +426,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if any(n < 1 for n in sizes):
             raise ConfigError(f"bad --layer-sizes: every size must be at least 1, got {args.layer_sizes}")
     else:
-        sizes = MODEL_SPECS[options["model"]]().param_shapes
+        sizes = nn.MODELS[options["model"]]().param_shapes
     try:
         genome.validate(Bounds(options["n_clients"], len(sizes), BOUNDS_PRESETS[options["bounds"]]))
     except ValueError as exc:

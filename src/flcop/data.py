@@ -1,5 +1,6 @@
-"""MNIST loading from IDX files, normalization, and IID client partitioning.
-A client batch is no dataset but the (pixels, labels) pair `nn.sgd_step` reads."""
+"""MNIST loading from IDX files, the pixel decode, and IID client partitioning.
+A dataset keeps the files' uint8 pixel bytes and decodes them as they are read;
+a client batch is no dataset but the (pixels, labels) pair `nn.sgd_step` reads."""
 
 from __future__ import annotations
 
@@ -33,10 +34,9 @@ class DataConsistencyError(ValueError):
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """One row of pixels per example, stored either as an IDX file's uint8
-    bytes v, which `pixels` decodes to float32 v / 255, or as float rows in
-    [0, 1], which `pixels` returns as they are. Every dataset, loaded or
-    taken, is checked when built: one label in [0, 9] per row."""
+    """One row of pixels per example, stored as an IDX file's uint8 bytes v,
+    which `pixels` decodes to float32 v / 255. Every dataset, loaded or
+    taken, is checked when built: uint8 rows, one label in [0, 9] per row."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -46,24 +46,20 @@ class LabeledDataset:
             raise ValueError("images and labels must have one row per example")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() > 9):
             raise ValueError("labels must lie in [0, 9]")
-        # every byte is a pixel, so only float rows can lie outside [0, 1]
-        if self.images.dtype != np.uint8 and self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
-            raise ValueError("pixels must lie in [0, 1]")
+        if self.images.dtype != np.uint8:
+            raise ValueError(f"pixels must be uint8 bytes, got {self.images.dtype}")
 
     @property
     def count(self) -> int:
         return self.images.shape[0]
 
     def take(self, indices: np.ndarray) -> "LabeledDataset":
-        """The rows at a 1-D index array, gathered into a new dataset that
-        stores them as this one does."""
+        """The rows at a 1-D index array, gathered into a new dataset."""
         return LabeledDataset(self.images[indices], self.labels[indices])
 
     def pixels(self, index) -> np.ndarray:
         """The pixels at `index` (a slice or an index array) as the model
-        reads them: bytes decoded to float32 v / 255, float rows unchanged."""
-        if self.images.dtype != np.uint8:
-            return self.images[index]
+        reads them: bytes decoded to float32 v / 255."""
         # the float32 scalar and dtype pin a float32 loop, bit-equal to astype(float32) / float32(255)
         return np.divide(self.images[index], np.float32(255), dtype=np.float32)
 

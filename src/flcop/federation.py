@@ -43,10 +43,12 @@ class CommLedger:
 
 @dataclass
 class FLOutcome:
+    """A run's final global model, its traffic, and the global model's count
+    of correct test predictions."""
+
     global_model: ModelParams
     ledger: CommLedger
-    accuracy: float
-    n_correct: int = 0
+    n_correct: int
 
 
 def select_clients(n_clients: int, participants: int, rng: np.random.Generator) -> np.ndarray:
@@ -159,5 +161,4 @@ def run_federated_training(
             }
             trace(row, global_model)
 
-    n_correct = count_correct(global_model, test)
-    return FLOutcome(global_model, ledger, n_correct / test.count, n_correct)
+    return FLOutcome(global_model, ledger, count_correct(global_model, test))

@@ -24,7 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .objectives import Bounds, Genome
+from .nn import MODELS
+from .objectives import Bounds, Genome, comm_fraction
 
 HV_REFERENCE = (1.0, 0.0)
 
@@ -254,11 +255,14 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[GenerationRecord]]]:
     each history the GenerationRecords that write_run wrote, after every file
     has been checked; a malformed file, or the first missing one, raises
     ValueError naming it. The manifest's runs, n_clients, n_layers,
-    interval_max, pop and generations are integers of at least 1. A run's
+    interval_max, pop and generations are integers of at least 1, its model
+    is a key of nn.MODELS, and n_layers is that model's array count. A run's
     generation log and hypervolume file hold one line per gen 0 ..
     generations; every front in the log holds one or more points, none
-    dominated by another, each with f1, f2 in [0, 1] and a genome of
-    2 + 2 * n_layers coordinates within bounds; every hv_archive lies in
+    dominated by another, each with f1, f2 in [0, 1], a genome of
+    2 + 2 * n_layers coordinates within bounds, and an f1 bit-equal to the
+    genome's comm_fraction over the model's layer sizes and n_clients, taken
+    once per distinct genome of a run; every hv_archive lies in
     [0, 1], positive after a positive volume. Each run file must then be
     exactly what write_run writes for the fronts in its log, with evals =
     pop * (gen + 1) and each hv its front's hypervolume."""
@@ -273,6 +277,13 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[GenerationRecord]]]:
             # bool is an int subclass, but true is no count
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{key} must be an integer of at least 1, got {value!r}")
+        # an unhashable model raises TypeError
+        if manifest["model"] not in MODELS:
+            raise ValueError(f"model must be one of {', '.join(MODELS)}, got {manifest['model']!r}")
+        sizes = MODELS[manifest["model"]]().param_shapes
+        if manifest["n_layers"] != len(sizes):
+            raise ValueError(f"n_layers must be {len(sizes)}, the {manifest['model']} model's array count,"
+                             f" got {manifest['n_layers']}")
         bounds = Bounds(manifest["n_clients"], manifest["n_layers"], manifest["interval_max"])
     except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path} is not a campaign manifest: {type(exc).__name__}: {exc}") from exc
@@ -294,7 +305,7 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[GenerationRecord]]]:
             points = [p for front in fronts for p in front]
             # a ragged genome list raises ValueError
             pairs, genomes = np.array([p[0] for p in points]), np.array([p[1] for p in points])
-            # the width before the bounds arrays, which n_layers sizes and may be huge
+            # the width first, which the bounds comparison below needs
             if genomes.shape != (len(points), 2 + 2 * bounds.n_layers):
                 raise ValueError(f"front1 genomes need {2 + 2 * bounds.n_layers} coordinates, for {bounds.n_layers} layers")
             # one comparison over every front's points; NaN fails too
@@ -302,6 +313,14 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[GenerationRecord]]]:
             inside = ((0.0 <= pairs) & (pairs <= 1.0)).all(axis=1) & ((lo <= genomes) & (genomes <= hi)).all(axis=1)
             if not inside.all():
                 raise ValueError(f"front1 point {points[inside.argmin()]} needs f1, f2 in [0, 1] and a genome within {bounds}")
+            # fronts repeat genomes from one generation to the next, so each
+            # distinct genome's closed form is taken once
+            f1s = {genes: comm_fraction(Genome.from_vector(genes), sizes, manifest["n_clients"])[2]
+                   for genes in {genes for _, genes in points}}
+            for gen, front in enumerate(fronts):
+                for (f1, _), genes in front:
+                    if f1 != f1s[genes]:
+                        raise ValueError(f"gen {gen} logs f1 {f1} for genome {list(genes)}, whose closed form is {f1s[genes]}")
             # rank-1 points never dominate each other, and duplicates survive the filter
             for gen, front in enumerate(fronts):
                 if len(pareto_filter([objs for objs, _ in front])) < len(front):

@@ -125,6 +125,10 @@ def convolutional() -> ModelSpec:
     )
 
 
+# every model a campaign can train, by the name its --model flag and manifest give
+MODELS = {"fc": fully_connected, "conv": convolutional}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.1

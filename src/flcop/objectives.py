@@ -174,5 +174,5 @@ def simulate_genome(
             failed=True, note=f"training failed: {exc} (array {exc.layer_index})",
         )
         return vector, None
-    vector = ObjectiveVector(f1, outcome.accuracy, alpha, beta, outcome.n_correct, env.test.count)
+    vector = ObjectiveVector(f1, outcome.n_correct / env.test.count, alpha, beta, outcome.n_correct, env.test.count)
     return vector, outcome

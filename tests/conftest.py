@@ -446,16 +446,35 @@ def random_genome(bounds: Bounds, rng: np.random.Generator) -> Genome:
 
 def write_idx(ds: data.LabeledDataset, images_path, labels_path) -> None:
     """Write a dataset to the IDX container (exact inverse of data.load_idx)."""
-    pixels = np.rint(ds.images * 255.0).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">4i", data.IMAGE_MAGIC, ds.count, 28, 28))
-        f.write(pixels.tobytes())
+        f.write(ds.images.tobytes())
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">2i", data.LABEL_MAGIC, ds.count))
         f.write(ds.labels.astype(np.uint8).tobytes())
 
 
-def float32_load_idx(images_path, labels_path) -> data.LabeledDataset:
+@dataclass(frozen=True)
+class FloatRows:
+    """Reference dataset that stores its pixels as float32 rows and returns
+    them unchanged: the count, labels, pixels and take that data.Shard and
+    nn.count_correct read from a LabeledDataset."""
+
+    images: np.ndarray
+    labels: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return self.images.shape[0]
+
+    def take(self, indices: np.ndarray) -> "FloatRows":
+        return FloatRows(self.images[indices], self.labels[indices])
+
+    def pixels(self, index) -> np.ndarray:
+        return self.images[index]
+
+
+def float32_load_idx(images_path, labels_path) -> FloatRows:
     """Reference loader for well-formed files: the pixels decoded once, at
     load, into float32 rows v / 255, in chunks of 1024 rows through one
     reused byte buffer."""
@@ -469,7 +488,7 @@ def float32_load_idx(images_path, labels_path) -> data.LabeledDataset:
             assert f.readinto(chunk) == chunk.nbytes
             np.divide(chunk, np.float32(255), out=images[start : start + chunk.shape[0]], dtype=np.float32)
     labels = np.frombuffer(Path(labels_path).read_bytes(), np.uint8, offset=8)[:count].astype(np.int64)
-    return data.LabeledDataset(images, labels)
+    return FloatRows(images, labels)
 
 
 def copying_partition(ds: data.LabeledDataset, n_clients: int, seed: int) -> tuple[data.Shard, ...]:
@@ -483,7 +502,8 @@ def copying_partition(ds: data.LabeledDataset, n_clients: int, seed: int) -> tup
 
 
 def make_synthetic(n: int, seed: int) -> data.LabeledDataset:
-    """Learnable MNIST-shaped stand-in: noisy class prototypes on a byte grid.
+    """Learnable MNIST-shaped stand-in: noisy class prototypes in [0, 1],
+    stored as the bytes round(255 x).
 
     The prototypes are fixed so train and test splits drawn with different
     seeds share one classification task.
@@ -492,8 +512,7 @@ def make_synthetic(n: int, seed: int) -> data.LabeledDataset:
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 10, n)
     images = np.clip(protos[labels] + rng.normal(0, 0.25, (n, 784)), 0, 1)
-    images = np.rint(images * 255) / 255.0
-    return data.LabeledDataset(images.astype(np.float32), labels.astype(np.int64))
+    return data.LabeledDataset(np.rint(images * 255).astype(np.uint8), labels.astype(np.int64))
 
 
 @pytest.fixture(scope="session")

@@ -199,11 +199,22 @@ def test_eval_uses_bounds_from_config_file(tmp_path):
     assert run_cli("eval", genome, "--layer-sizes", "10,10", "--config", cfg) == 1
 
 
-@pytest.mark.parametrize("manifest", ["not json", '{"n_clients": 4}', "[1, 2]"])
+MANIFEST = {"runs": 1, "model": "fc", "n_clients": 4, "n_layers": 4, "interval_max": 1000, "pop": 4, "generations": 1}
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        "not json", '{"n_clients": 4}', "[1, 2]",
+        # a model flcop does not train, or another model's array count
+        *(json.dumps({**MANIFEST, **edit}) for edit in ({"model": "xyz"}, {"model": ["fc"]}, {"n_layers": 12}, {"model": "conv"})),
+    ],
+)
 def test_report_rejects_bad_manifest(tmp_path, capsys, manifest):
     (tmp_path / "campaign.json").write_text(manifest)
     assert run_cli("report", tmp_path) == 2
     assert "campaign.json" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["campaign.json"]
 
 
 def test_odd_population_rejected(fixture_mnist_dir):
@@ -516,9 +527,10 @@ def test_report_names_missing_files(campaign_dir, capsys):
         moved.write_bytes(stash)
 
 
-@pytest.mark.parametrize("key, named", [("runs", "pareto_run3.csv"), ("n_layers", "generations_run1.jsonl")])
+@pytest.mark.parametrize("key, named", [("runs", "pareto_run3.csv"), ("n_layers", "campaign.json")])
 def test_report_checks_manifest_counts_against_the_files_first(campaign_dir, tmp_path, capsys, key, named):
-    # a count this large sizes no list or array before a file bears it out
+    # a count this large sizes no list or array before a file bears it out;
+    # n_layers must be the model's array count, so the manifest fails first
     out = tmp_path / "campaign"
     shutil.copytree(campaign_dir, out)
     manifest = json.loads((out / "campaign.json").read_text())
@@ -529,6 +541,22 @@ def test_report_checks_manifest_counts_against_the_files_first(campaign_dir, tmp
     err = capsys.readouterr().err
     assert named in err and len(err) < 1000
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_report_accepts_every_honest_f1_of_a_desk_campaign(fixture_mnist_dir, tmp_path, monkeypatch):
+    out = tmp_path / "desk"
+    argv = ["--preset", "desk-fc", "--generations", 3, "--runs", 2, "--mnist-dir", fixture_mnist_dir, "--out", out]
+    assert run_cli("optimize", *argv) == 0
+    closed = []
+    real = metrics.comm_fraction
+    monkeypatch.setattr(metrics, "comm_fraction", lambda genome, *args: closed.append(genome.to_vector()) or real(genome, *args))
+    assert run_cli("report", out) == 0
+    # one closed form per distinct genome of each run's log
+    logged = [
+        {tuple(genes) for line in (out / f"generations_run{k}.jsonl").read_text().splitlines() for *_, genes in json.loads(line)["front1"]}
+        for k in (1, 2)
+    ]
+    assert sorted(closed) == sorted(genes for run in logged for genes in run)
 
 
 def _first_row_cell(index, value):
@@ -564,6 +592,12 @@ def _append_dominated_copy(row):
     f1, f2, genes = max(row["front1"], key=lambda point: point[1])
     assert f2 > 0.0
     row["front1"].append([f1, 0.0, genes])
+
+
+def _nudge_drop_percent(row):
+    """Move the first front point's mu_1 by one, inside its bounds [0, 50]."""
+    genes = row["front1"][0][2]
+    genes[2] += 1 if genes[2] < 50 else -1
 
 
 def _extra_generation(lines):
@@ -639,6 +673,9 @@ def _extra_generation(lines):
         ("pareto_run1.csv", lambda lines: [lines[0], *reversed(lines[1:])]),
         # a dominated point adds no volume, so the middle line renders as it is written
         ("generations_run2.jsonl", _log_line(1, _append_dominated_copy)),
+        # no other file holds a non-final front's genomes: only f1's closed form tells
+        ("generations_run1.jsonl", _log_line(0, _nudge_drop_percent)),
+        ("generations_run2.jsonl", _log_line(2, _nudge_drop_percent)),
     ],
     ids=[
         "non-numeric-cell", "short-row", "wrong-layer-count", "nan-f2", "f1-above-one",
@@ -651,6 +688,7 @@ def _extra_generation(lines):
         "log-line-not-an-object", "log-line-without-front", "log-nan-hv", "log-middle-f2-off",
         "log-middle-front-short", "log-middle-m-out-of-bounds", "log-middle-f1-beyond-float", "log-gen-float",
         "log-gen-true", "log-evals-float", "evals-zero-padded", "pareto-rows-reversed", "log-middle-dominated-point",
+        "log-first-drop-percent-off", "log-middle-drop-percent-off",
     ],
 )
 def test_report_rejects_malformed_run_files(campaign_dir, tmp_path, capsys, name, corrupt):

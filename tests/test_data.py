@@ -16,7 +16,7 @@ def test_idx_round_trip(tmp_path):
     ds = make_synthetic(50, 4)
     write_idx(ds, tmp_path / "imgs", tmp_path / "labs")
     back = data.load_idx(tmp_path / "imgs", tmp_path / "labs")
-    assert np.array_equal(back.pixels(slice(None)), ds.images)
+    assert back.images.dtype == np.uint8 and np.array_equal(back.images, ds.images)
     assert np.array_equal(back.labels, ds.labels)
 
 
@@ -174,16 +174,13 @@ def test_load_holds_one_chunk_beside_the_result(tmp_path, count):
     assert extra < 128 * 1024, extra
 
 
-def _rows(shard) -> data.LabeledDataset:
-    """Every example of a shard, read through its take."""
-    return data.LabeledDataset(*shard.take(np.arange(shard.count)))
+def _rows(shard) -> tuple[np.ndarray, np.ndarray]:
+    """Every example of a shard as (pixels, labels), read through its take."""
+    return shard.take(np.arange(shard.count))
 
 
-def _row_multiset(ds: data.LabeledDataset) -> set:
-    return {
-        (ds.labels[i], ds.images[i].tobytes())
-        for i in range(ds.count)
-    }
+def _row_multiset(pixels: np.ndarray, labels: np.ndarray) -> set:
+    return {(labels[i], pixels[i].tobytes()) for i in range(len(labels))}
 
 
 def test_partition_equal_shards():
@@ -202,7 +199,7 @@ def test_partition_single_client_is_identity_content():
     ds = make_synthetic(10, 6)
     part = data.partition(ds, 1, seed=3)
     assert part[0].count == 10
-    assert _row_multiset(_rows(part[0])) == _row_multiset(ds)
+    assert _row_multiset(*_rows(part[0])) == _row_multiset(ds.pixels(slice(None)), ds.labels)
 
 
 def test_partition_is_bijection():
@@ -211,10 +208,10 @@ def test_partition_is_bijection():
     union = set()
     total = 0
     for shard in part:
-        union |= _row_multiset(_rows(shard))
+        union |= _row_multiset(*_rows(shard))
         total += shard.count
     assert total == ds.count
-    assert union == _row_multiset(ds)
+    assert union == _row_multiset(ds.pixels(slice(None)), ds.labels)
 
 
 def test_partition_deterministic():
@@ -222,8 +219,9 @@ def test_partition_deterministic():
     a = data.partition(ds, 4, seed=5)
     b = data.partition(ds, 4, seed=5)
     for sa, sb in zip(a, b):
-        assert np.array_equal(_rows(sa).images, _rows(sb).images)
-        assert np.array_equal(_rows(sa).labels, _rows(sb).labels)
+        (images_a, labels_a), (images_b, labels_b) = _rows(sa), _rows(sb)
+        assert np.array_equal(images_a, images_b)
+        assert np.array_equal(labels_a, labels_b)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5, 11])
@@ -248,7 +246,7 @@ def test_partition_copies_no_rows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the permutation's int64 indices are all it allocates: 1/98 of the float32 rows
+    # the permutation's int64 indices are all it allocates: 1/98 of the byte rows
     assert peak < ds.images.nbytes // 20, peak
     assert all(shard.source is ds for shard in part)
 
@@ -263,7 +261,7 @@ def _partition_cases(draw):
 @given(case=_partition_cases())
 def test_partition_property(case):
     rows, n_clients, seed = case
-    ds = data.LabeledDataset(np.zeros((rows, 784), np.float32), np.zeros(rows, np.int64))
+    ds = data.LabeledDataset(np.zeros((rows, 784), np.uint8), np.zeros(rows, np.int64))
     part = data.partition(ds, n_clients, seed)
     assert len(part) == n_clients
     # disjoint and covering: every row index appears in exactly one shard, once
@@ -308,17 +306,17 @@ def test_take_checks_the_rows_it_gathers(tmp_path):
 
 
 def test_external_dataset_still_checked():
-    images = np.zeros((3, 784), np.float32)
+    images = np.zeros((3, 784), np.uint8)
     labels = np.array([0, 1, 2])
     data.LabeledDataset(images, labels)
     with pytest.raises(ValueError, match="one row per example"):
         data.LabeledDataset(images, labels[:2])
     with pytest.raises(ValueError, match="labels"):
         data.LabeledDataset(images, np.array([0, 1, 10]))
-    bright = images.copy()
-    bright[1, 7] = 1.5
-    with pytest.raises(ValueError, match="pixels"):
-        data.LabeledDataset(bright, labels)
+    # pixels are the IDX files' bytes: float rows, even in [0, 1], are no dataset
+    for dtype in (np.float32, np.float64, np.int64):
+        with pytest.raises(ValueError, match="pixels must be uint8 bytes"):
+            data.LabeledDataset(images.astype(dtype), labels)
 
 
 def test_caller_built_byte_rows_decode_as_loaded_ones():

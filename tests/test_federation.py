@@ -99,7 +99,7 @@ def test_run_ledger_exactness_and_round_count():
     assert ledger.downlink_bits == rounds * 3 * theta
     assert ledger.uplink_bits == rounds * 3 * per_model
     assert ledger.baseline_bits == batches * 4 * theta
-    assert outcome.accuracy == outcome.n_correct / test.count
+    assert outcome.n_correct == nn.count_correct(outcome.global_model, test)
 
 
 def test_run_single_round_when_interval_covers_epoch():
@@ -119,7 +119,7 @@ def test_interval_beyond_budget_trains_exactly_one_epoch():
     huge = federation.run_federated_training(*_run(part, test, interval=1000, batch=8), seed=9)
     # local budget is min(interval, remaining), so both single-round runs coincide
     assert one_shot.ledger.rounds_executed == huge.ledger.rounds_executed == 1
-    assert one_shot.accuracy == huge.accuracy
+    assert one_shot.n_correct == huge.n_correct
     assert all(
         np.array_equal(a, b)
         for a, b in zip(one_shot.global_model.arrays, huge.global_model.arrays)
@@ -140,7 +140,7 @@ def test_run_deterministic_and_trace_consistent():
 
     a = federation.run_federated_training(genome, env, seed=3, trace=trace)
     b = federation.run_federated_training(genome, env, seed=3)
-    assert a.accuracy == b.accuracy
+    assert a.n_correct == b.n_correct
     # the hook's last model is the one the objective scores
     assert nn.count_correct(models[-1], test) == a.n_correct
     assert all(np.array_equal(x, y) for x, y in zip(a.global_model.arrays, b.global_model.arrays))
@@ -203,7 +203,7 @@ def test_full_precision_upload_matches_reference_fedavg():
     for got, want in zip(outcome.global_model.arrays, reference.arrays):
         scale = max(1e-12, float(np.abs(want).max()))
         assert np.abs(got.astype(np.float64) - want.astype(np.float64)).max() / scale < 1e-6
-    assert outcome.accuracy == evaluate_accuracy(reference, test)
+    assert outcome.n_correct / test.count == evaluate_accuracy(reference, test)
 
 
 def test_dropped_positions_keep_global_value():

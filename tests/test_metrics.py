@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flcop import metrics, nsga2
+from flcop import metrics, nn, nsga2
 from flcop.metrics import ParetoPoint, hypervolume, merge_pseudo_optimal
-from flcop.objectives import Bounds, Genome
+from flcop.objectives import Bounds, Genome, comm_fraction
 from conftest import filter_sweep_hypervolume, read_hypervolume_csv, read_pareto_csv
 
 
@@ -308,23 +308,27 @@ def test_export_and_read_back(tmp_path):
     generations=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 2),
     # f2 is a fraction of correct test images, as the hv_archive rule assumes
-    table=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 2000).map(lambda c: c / 2000)), min_size=1, max_size=12),
+    table=st.lists(st.integers(0, 2000).map(lambda c: c / 2000), min_size=1, max_size=12),
 )
 def test_read_campaign_accepts_what_write_run_writes(pop, generations, seed, table):
     # write_run and read_campaign both render each hv from a record's front,
     # so every run file passes only if each front, and each hv_archive, reads
-    # back from the files bit for bit
-    bounds = Bounds(3, 1, 5)
+    # back from the files bit for bit; f1 is the closed form that report checks
+    bounds = Bounds(3, 4, 5)
+    sizes = nn.fully_connected().param_shapes
 
     def evaluate(genomes, generation):
-        return [table[sum(g * 7**i for i, g in enumerate(genome)) % len(table)] for genome in genomes]
+        return [
+            (comm_fraction(Genome.from_vector(genome), sizes, 3)[2], table[sum(g * 7**i for i, g in enumerate(genome)) % len(table)])
+            for genome in genomes
+        ]
 
     histories = [
         nsga2.run(evaluate, nsga2.SearchParams(pop, generations, tuple(bounds.coordinate_ranges()), seed=run_seed),
                   hv_reference=metrics.HV_REFERENCE).history
         for run_seed in (seed, seed + 1)
     ]
-    manifest = {"runs": 2, "n_clients": 3, "n_layers": 1, "interval_max": 5, "pop": pop, "generations": generations}
+    manifest = {"runs": 2, "model": "fc", "n_clients": 3, "n_layers": 4, "interval_max": 5, "pop": pop, "generations": generations}
     with tempfile.TemporaryDirectory() as out:
         metrics.write_json(Path(out) / metrics.MANIFEST_FILE, manifest)
         for k, history in enumerate(histories, start=1):

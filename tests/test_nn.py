@@ -83,16 +83,17 @@ def test_forward_shape_mismatch():
 def test_zero_learning_rate_keeps_params():
     params = nn.build_model(nn.fully_connected(), seed=0)
     batch = make_synthetic(8, 0)
-    after = nn.sgd_step(params, batch.images, batch.labels, nn.TrainConfig(0.0, 8))
+    after = nn.sgd_step(params, batch.pixels(slice(None)), batch.labels, nn.TrainConfig(0.0, 8))
     assert all(np.array_equal(a, b) for a, b in zip(params.arrays, after.arrays))
 
 
 def test_sgd_step_reduces_single_example_loss():
     params = nn.build_model(nn.fully_connected(), seed=0)
     batch = make_synthetic(1, 5)
-    before, _ = nn.loss_and_gradients(params, batch.images, batch.labels)
-    stepped = nn.sgd_step(params, batch.images, batch.labels, nn.TrainConfig(0.1, 1))
-    after, _ = nn.loss_and_gradients(stepped, batch.images, batch.labels)
+    images = batch.pixels(slice(None))
+    before, _ = nn.loss_and_gradients(params, images, batch.labels)
+    stepped = nn.sgd_step(params, images, batch.labels, nn.TrainConfig(0.1, 1))
+    after, _ = nn.loss_and_gradients(stepped, images, batch.labels)
     assert after < before
 
 
@@ -105,7 +106,7 @@ def test_sgd_step_rejects_an_empty_batch():
 def test_sgd_step_preserves_parameter_counts():
     params = nn.build_model(nn.convolutional(), seed=0)
     batch = make_synthetic(2, 6)
-    after = nn.sgd_step(params, batch.images, batch.labels, nn.TrainConfig(0.05, 2))
+    after = nn.sgd_step(params, batch.pixels(slice(None)), batch.labels, nn.TrainConfig(0.05, 2))
     assert [a.size for a in after.arrays] == [a.size for a in params.arrays]
 
 
@@ -228,30 +229,28 @@ def test_gradients_match_finite_differences_conv():
 def test_accuracy_counts_argmax_matches():
     params = nn.build_model(TOY_FC, seed=0, dtype=np.float64)
     rng = np.random.default_rng(5)
-    images = rng.random((10, 6))
-    probs = nn.forward(params, images)
-    labels = probs.argmax(axis=1)
-    ds = LabeledDataset(np.clip(images, 0, 1), labels)
-    assert evaluate_accuracy(params, ds) == 1.0
+    ds = LabeledDataset(rng.integers(0, 256, (10, 6), dtype=np.uint8), np.zeros(10, np.int64))
+    labels = nn.forward(params, ds.pixels(slice(None))).argmax(axis=1)
+    assert evaluate_accuracy(params, LabeledDataset(ds.images, labels)) == 1.0
 
     wrong = labels.copy()
     wrong[:4] = (wrong[:4] + 1) % 3
     # 6 of 10 correct
-    assert evaluate_accuracy(params, LabeledDataset(np.clip(images, 0, 1), wrong)) == 0.6
+    assert evaluate_accuracy(params, LabeledDataset(ds.images, wrong)) == 0.6
 
 
 def test_accuracy_three_quarters():
     params = nn.build_model(TOY_FC, seed=0, dtype=np.float64)
     rng = np.random.default_rng(6)
-    images = np.clip(rng.random((4, 6)), 0, 1)
-    labels = nn.forward(params, images).argmax(axis=1)
+    ds = LabeledDataset(rng.integers(0, 256, (4, 6), dtype=np.uint8), np.zeros(4, np.int64))
+    labels = nn.forward(params, ds.pixels(slice(None))).argmax(axis=1)
     labels[0] = (labels[0] + 1) % 3
-    assert evaluate_accuracy(params, LabeledDataset(images, labels)) == 0.75
+    assert evaluate_accuracy(params, LabeledDataset(ds.images, labels)) == 0.75
 
 
 def test_accuracy_empty_dataset_rejected():
     params = nn.build_model(TOY_FC, seed=0)
-    ds = LabeledDataset(np.zeros((0, 6), np.float32), np.zeros(0, np.int64))
+    ds = LabeledDataset(np.zeros((0, 6), np.uint8), np.zeros(0, np.int64))
     with pytest.raises(ValueError):
         evaluate_accuracy(params, ds)
 
@@ -260,7 +259,7 @@ def test_untrained_model_is_at_chance_on_random_labels():
     params = nn.build_model(nn.fully_connected(), seed=0)
     rng = np.random.default_rng(7)
     ds = LabeledDataset(
-        rng.random((2000, 784)).astype(np.float32), rng.integers(0, 10, 2000)
+        rng.integers(0, 256, (2000, 784), dtype=np.uint8), rng.integers(0, 10, 2000)
     )
     assert abs(evaluate_accuracy(params, ds) - 0.1) < 0.05
 
@@ -278,10 +277,10 @@ def test_fc_results_do_not_depend_on_concurrent_threads():
         out = []
         for _ in range(3):
             rows = rng.choice(ds.count, 64, replace=False)
-            loss, grads = nn.loss_and_gradients(params, ds.images[rows], ds.labels[rows])
+            loss, grads = nn.loss_and_gradients(params, ds.pixels(rows), ds.labels[rows])
             out += [float(loss).hex(), *(g.tobytes() for g in grads)]
         out.append(nn.count_correct(params, ds))
-        out += [nn.forward(params, ds.images[s : s + 256]).tobytes() for s in range(0, ds.count, 256)]
+        out += [nn.forward(params, ds.pixels(slice(s, s + 256))).tobytes() for s in range(0, ds.count, 256)]
         return out
 
     seeds = range(8)

@@ -222,7 +222,8 @@ def test_simulate_genome_returns_outcome(tiny_env):
     vector, outcome = objectives.simulate_genome(g, tiny_env)
     assert outcome is not None
     assert vector.comm_fraction == 1.0
-    assert vector.accuracy == outcome.accuracy
+    assert vector.n_correct == outcome.n_correct
+    assert vector.accuracy == outcome.n_correct / tiny_env.test.count
 
 
 def test_validate_rejects_out_of_bounds():
