@@ -24,8 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .nn import MODELS
-from .objectives import Bounds, Genome, comm_fraction
+from .nn import MODELS, TrainConfig
+from .objectives import BOUNDS_PRESETS, Bounds, Genome, comm_fraction
 
 HV_REFERENCE = (1.0, 0.0)
 
@@ -255,10 +255,12 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[GenerationRecord]]]:
     each history the GenerationRecords that write_run wrote, after every file
     has been checked; a malformed file, or the first missing one, raises
     ValueError naming it. The manifest's runs, n_clients, n_layers,
-    interval_max, pop and generations are integers of at least 1, its model
-    is a key of nn.MODELS, and n_layers is that model's array count. A run's
-    generation log and hypervolume file hold one line per gen 0 ..
-    generations; every front in the log holds one or more points, none
+    interval_max, pop and generations are integers of at least 1, its seed
+    and init_seed integers of at least 0, its bounds a key of BOUNDS_PRESETS
+    whose interval cap is interval_max, its lr positive and accepted by
+    TrainConfig, its model a key of nn.MODELS, and n_layers that model's
+    array count. A run's generation log and hypervolume file hold one line
+    per gen 0 .. generations; every front in the log holds one or more points, none
     dominated by another, each with f1, f2 in [0, 1], a genome of
     2 + 2 * n_layers coordinates within bounds, and an f1 bit-equal to the
     genome's comm_fraction over the model's layer sizes and n_clients, taken
@@ -272,11 +274,21 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[GenerationRecord]]]:
         raise ValueError(f"missing {path}")
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"), parse_float=_finite_float, parse_constant=_finite_float)
-        for key in ("runs", "n_clients", "n_layers", "interval_max", "pop", "generations"):
-            value = manifest[key]
+        for key in ("runs", "n_clients", "n_layers", "interval_max", "pop", "generations", "seed", "init_seed"):
+            value, least = manifest[key], 0 if key.endswith("seed") else 1
             # bool is an int subclass, but true is no count
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{key} must be an integer of at least 1, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{key} must be an integer of at least {least}, got {value!r}")
+        # an unhashable bounds raises TypeError
+        if manifest["bounds"] not in BOUNDS_PRESETS:
+            raise ValueError(f"bounds must be one of {', '.join(BOUNDS_PRESETS)}, got {manifest['bounds']!r}")
+        if manifest["interval_max"] != BOUNDS_PRESETS[manifest["bounds"]]:
+            raise ValueError(f"interval_max must be {BOUNDS_PRESETS[manifest['bounds']]}, the {manifest['bounds']}"
+                             f" bounds' interval cap, got {manifest['interval_max']}")
+        lr = manifest["lr"]
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not lr > 0:
+            raise ValueError(f"lr must be a positive number, got {lr!r}")
+        TrainConfig(lr)  # a rate that is not finite or is 0 in float32 raises
         # an unhashable model raises TypeError
         if manifest["model"] not in MODELS:
             raise ValueError(f"model must be one of {', '.join(MODELS)}, got {manifest['model']!r}")

@@ -8,6 +8,18 @@ hypervolume raise ValueError on one; ±inf is ordered as usual.
 Operators draw from a single sequential random stream, so a fixed seed
 reproduces a run exactly regardless of how the evaluator parallelizes.
 
+The stream is `np.random.default_rng(seed)`'s draws, replayed in Python from
+the raw 64-bit words of PCG64 seeded with `seed` under numpy's draw rules:
+`random()` is the next word's top 53 bits times 2**-53; a 32-bit draw is a
+word's low half, its high half kept for the next 32-bit draw (a 64-bit draw
+never touches it); `integers(low, high)` is Lemire's multiply-shift with
+numpy's rejection threshold, on a 32-bit draw when high - low - 1 < 2**32,
+and no draw at all when high - low is 1.
+So a campaign's bytes rest on PCG64's output, which numpy keeps stable, and
+not on how `Generator` methods turn it into draws, which NEP 19 lets change.
+The operators call only `random()` and `integers(low, high)`, so they make
+the same draws from a real `Generator`.
+
 Each generation runs one non-dominated sort: `replacement` sorts parents plus
 offspring, and sets the rank and crowding of each survivor as it keeps it.
 The history holds what the search knows: each generation's first front and
@@ -53,6 +65,9 @@ class SearchParams:
             raise ValueError("population_size must be even and at least 4")
         if self.generations < 0:
             raise ValueError("generations must be non-negative")
+        for lo, hi in self.bounds:
+            if not 0 <= hi - lo < 2**64:
+                raise ValueError(f"bounds ({lo}, {hi}) need lo <= hi < lo + 2**64")
 
     @property
     def dimension(self) -> int:
@@ -106,7 +121,63 @@ def crowding_distance(front_objectives: list[tuple[float, ...]]) -> list[float]:
     return distances
 
 
-def _crowded_better(a: Individual, b: Individual, rng: np.random.Generator) -> bool:
+_WORDS_PER_READ = 1024
+_MASK32 = 2**32 - 1
+
+
+class _Stream:
+    """The scalar `random()` and `integers(low, high)` draws of
+    `np.random.default_rng(seed)`, replayed from PCG64's words (see the module
+    docstring). Bounds are Python ints with 0 <= high - low - 1 < 2**64."""
+
+    __slots__ = ("_word", "_half")
+
+    def __init__(self, seed: int):
+        self._word = _words(np.random.PCG64(seed)).__next__
+        self._half = None  # the high half of the last 32-bit draw's word, until drawn
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._word()
+            self._half = word >> 32
+            return word & _MASK32
+        self._half = None
+        return half
+
+    def integers(self, low: int, high: int) -> int:
+        # numpy returns a whole 32-bit draw at r = 2**32 - 1 and a whole word
+        # at r = 2**64 - 1; Lemire's form gives just that there, with no rejection
+        r = high - low - 1
+        if r == 0:
+            return low
+        if r <= _MASK32:
+            return low + _lemire(self._uint32, r, 32)
+        return low + _lemire(self._word, r, 64)
+
+
+def _words(bitgen: np.random.PCG64):
+    while True:
+        yield from bitgen.random_raw(_WORDS_PER_READ).tolist()
+
+
+def _lemire(draw: Callable[[], int], r: int, bits: int) -> int:
+    """A uniform integer in [0, r] from bits-wide draws, as numpy bounds one:
+    the high bits of draw * (r + 1), drawn again while the low bits fall
+    below (2**bits - 1 - r) mod (r + 1)."""
+    n, mask = r + 1, (1 << bits) - 1
+    m = draw() * n
+    if m & mask < n:
+        threshold = (mask - r) % n
+        while m & mask < threshold:
+            m = draw() * n
+    return m >> bits
+
+
+def _crowded_better(a: Individual, b: Individual, rng: np.random.Generator | _Stream) -> bool:
     if a.rank != b.rank:
         return a.rank < b.rank
     if a.crowding != b.crowding:
@@ -114,14 +185,27 @@ def _crowded_better(a: Individual, b: Individual, rng: np.random.Generator) -> b
     return rng.random() < 0.5
 
 
-def binary_tournament(population: list[Individual], n_pairs: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+def _distinct_pair(n: int, rng: np.random.Generator | _Stream) -> tuple[int, int]:
+    """`rng.choice(n, size=2, replace=False)` written out as numpy draws it:
+    Floyd's sampler, a in [0, n - 2] then b in [0, n - 1] (n - 1 if b == a),
+    then a shuffle of the pair, which gives (b, a) when its draw in [0, 1] is 0."""
+    a = rng.integers(0, n - 1)
+    b = rng.integers(0, n)
+    if b == a:
+        b = n - 1
+    return (b, a) if rng.integers(0, 2) == 0 else (a, b)
+
+
+def binary_tournament(
+    population: list[Individual], n_pairs: int, rng: np.random.Generator | _Stream
+) -> list[tuple[int, int]]:
     """n_pairs parent pairs; each parent wins a 2-way tournament between two
     distinct uniform draws, decided by rank, then crowding, then a coin."""
     pairs = []
     for _ in range(n_pairs):
         parents = []
         for _ in range(2):
-            i, j = rng.choice(len(population), size=2, replace=False)
+            i, j = _distinct_pair(len(population), rng)
             winner = i if _crowded_better(population[i], population[j], rng) else j
             parents.append(int(winner))
         pairs.append((parents[0], parents[1]))
@@ -129,7 +213,7 @@ def binary_tournament(population: list[Individual], n_pairs: int, rng: np.random
 
 
 def single_point_crossover(
-    a: Vector, b: Vector, rng: np.random.Generator, crossover_prob: float
+    a: Vector, b: Vector, rng: np.random.Generator | _Stream, crossover_prob: float
 ) -> tuple[Vector, Vector]:
     """Swap the tails at a uniform switching point in [1, d-1] with probability
     crossover_prob; otherwise return copies. Coordinates are exchanged, never blended."""
@@ -143,15 +227,14 @@ def single_point_crossover(
 
 
 def uniform_mutation(
-    vec: Vector, bounds: Sequence[tuple[int, int]], rng: np.random.Generator, mutation_prob: float
+    vec: Vector, bounds: Sequence[tuple[int, int]], rng: np.random.Generator | _Stream, mutation_prob: float
 ) -> Vector:
     """Independently replace each coordinate, with probability mutation_prob,
-    by a uniform integer from its own closed range. `bounds` may be a
-    (d, 2) integer array, which callers in a loop build once."""
-    b = np.asarray(bounds)
-    mask = rng.random(len(vec)) < mutation_prob
-    draws = rng.integers(b[:, 0], b[:, 1] + 1)
-    return tuple(np.where(mask, draws, vec).tolist())
+    by a uniform integer from its own closed range. Every coordinate draws its
+    coin first, then every coordinate its integer, whether it mutates or not."""
+    mutate = [rng.random() < mutation_prob for _ in vec]
+    draws = [rng.integers(lo, hi + 1) for lo, hi in bounds]
+    return tuple(int(d) if m else v for v, d, m in zip(vec, draws, mutate, strict=True))
 
 
 def replacement(parents: list[Individual], offspring: list[Individual], directions: Sequence[int]) -> list[Individual]:
@@ -252,13 +335,12 @@ def run(
     its members are never compared again. The result lists its entries as
     (objectives, genome, generation) tuples, in archive order.
     """
-    rng = np.random.default_rng(params.seed)
-    bounds = np.asarray(params.bounds)
+    rng = _Stream(params.seed)
+    bounds = [(int(lo), int(hi)) for lo, hi in params.bounds]  # the stream's arithmetic is on Python ints
     mutation_prob = 1 / params.dimension
 
     population = [
-        Individual(tuple(rng.integers(bounds[:, 0], bounds[:, 1] + 1).tolist()))
-        for _ in range(params.population_size)
+        Individual(tuple(int(rng.integers(lo, hi + 1)) for lo, hi in bounds)) for _ in range(params.population_size)
     ]
     archive = Archive(directions)
     history: list[GenerationRecord] = []

@@ -179,9 +179,25 @@ def read_hypervolume_csv(path) -> list[tuple[int, float, int, float]]:
     return [(int(gen), float(hv), int(evals), float(hv_archive)) for gen, hv, evals, hv_archive in metrics.read_csv(path)]
 
 
+def choice_tournament(population, n_pairs, rng):
+    """Reference binary tournament: each pair of contestants is numpy's own
+    `rng.choice(n, size=2, replace=False)`, as the engine drew it before it
+    wrote that draw out."""
+    pairs = []
+    for _ in range(n_pairs):
+        parents = []
+        for _ in range(2):
+            i, j = rng.choice(len(population), size=2, replace=False)
+            winner = i if nsga2._crowded_better(population[i], population[j], rng) else j
+            parents.append(int(winner))
+        pairs.append((parents[0], parents[1]))
+    return pairs
+
+
 def bounds_loop_mutation(vec, bounds, rng, mutation_prob):
-    """Reference uniform mutation: bound arrays rebuilt from the pairs on
-    every call, then one mask draw and one integer draw per coordinate."""
+    """Reference uniform mutation, as the engine drew it before its scalar
+    draws: one array of coins, then one array-bounds `rng.integers` over
+    every coordinate."""
     lows = np.array([lo for lo, _ in bounds])
     highs = np.array([hi for _, hi in bounds])
     mask = rng.random(len(vec)) < mutation_prob

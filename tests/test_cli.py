@@ -199,7 +199,10 @@ def test_eval_uses_bounds_from_config_file(tmp_path):
     assert run_cli("eval", genome, "--layer-sizes", "10,10", "--config", cfg) == 1
 
 
-MANIFEST = {"runs": 1, "model": "fc", "n_clients": 4, "n_layers": 4, "interval_max": 1000, "pop": 4, "generations": 1}
+MANIFEST = {
+    "runs": 1, "model": "fc", "n_clients": 4, "n_layers": 4, "interval_max": 1000, "pop": 4, "generations": 1,
+    "bounds": "default", "lr": 0.1, "seed": 1, "init_seed": 0,
+}
 
 
 @pytest.mark.parametrize(
@@ -208,6 +211,13 @@ MANIFEST = {"runs": 1, "model": "fc", "n_clients": 4, "n_layers": 4, "interval_m
         "not json", '{"n_clients": 4}', "[1, 2]",
         # a model flcop does not train, or another model's array count
         *(json.dumps({**MANIFEST, **edit}) for edit in ({"model": "xyz"}, {"model": ["fc"]}, {"n_layers": 12}, {"model": "conv"})),
+        # options optimize rejects: an unknown bounds preset, an interval cap
+        # that is not its preset's, a rate SGD cannot apply, a negative or boolean seed
+        *(json.dumps({**MANIFEST, **edit}) for edit in (
+            {"bounds": "xyz"}, {"bounds": ["default"]}, {"interval_max": 999}, {"bounds": "mutation-narrow"},
+            {"lr": -5.0}, {"lr": 1e-50}, {"lr": 0}, {"lr": "0.1"},
+            {"seed": -4}, {"seed": True}, {"init_seed": -4}, {"init_seed": 1.5},
+        )),
     ],
 )
 def test_report_rejects_bad_manifest(tmp_path, capsys, manifest):
@@ -215,6 +225,14 @@ def test_report_rejects_bad_manifest(tmp_path, capsys, manifest):
     assert run_cli("report", tmp_path) == 2
     assert "campaign.json" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["campaign.json"]
+
+
+def test_report_accepts_the_base_manifest(tmp_path, capsys):
+    # the manifest the rejection cases edit passes its own checks, so each
+    # case is rejected for its edit: here report goes on to the run files
+    (tmp_path / "campaign.json").write_text(json.dumps(MANIFEST))
+    assert run_cli("report", tmp_path) == 2
+    assert f"missing campaign file {tmp_path / 'pareto_run1.csv'}" in capsys.readouterr().err
 
 
 def test_odd_population_rejected(fixture_mnist_dir):

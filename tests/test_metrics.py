@@ -328,11 +328,13 @@ def test_read_campaign_accepts_what_write_run_writes(pop, generations, seed, tab
                   hv_reference=metrics.HV_REFERENCE).history
         for run_seed in (seed, seed + 1)
     ]
-    manifest = {"runs": 2, "model": "fc", "n_clients": 3, "n_layers": 4, "interval_max": 5, "pop": pop, "generations": generations}
+    # the search keeps E <= 5, inside the narrowest preset's cap of 100
+    manifest = {"runs": 2, "model": "fc", "n_clients": 3, "n_layers": 4, "interval_max": 100, "pop": pop,
+                "generations": generations, "bounds": "mutation-narrow", "lr": 0.1, "seed": seed, "init_seed": 0}
     with tempfile.TemporaryDirectory() as out:
         metrics.write_json(Path(out) / metrics.MANIFEST_FILE, manifest)
         for k, history in enumerate(histories, start=1):
             metrics.write_run(out, k, history, pop)
             rows = metrics.read_csv(Path(out) / f"hypervolume_run{k}.csv")
             assert [(gen, evals) for gen, _, evals, _ in rows] == [(str(g), str(pop * (g + 1))) for g in range(generations + 1)]
-        assert metrics.read_campaign(out) == (manifest, bounds, histories)
+        assert metrics.read_campaign(out) == (manifest, Bounds(3, 4, 100), histories)

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from flcop import metrics, nsga2
 from flcop.metrics import pareto_filter
-from conftest import bounds_loop_mutation, dominates, pair_loop_sort, refilter_archive, resort_replacement
+from conftest import bounds_loop_mutation, choice_tournament, dominates, pair_loop_sort, refilter_archive, resort_replacement
 
 MIN_MAX = (1, -1)
 
@@ -277,6 +279,8 @@ def test_mutation_identity_and_forced():
         mutated = nsga2.uniform_mutation(vec, bounds, rng, 1.0)
         assert mutated[1] == 5
         assert 0 <= mutated[0] <= 9 and 1 <= mutated[2] <= 32
+    with pytest.raises(ValueError):
+        nsga2.uniform_mutation(vec[:2], bounds, rng, 0.5)
 
 
 def test_mutation_rate():
@@ -301,6 +305,75 @@ def test_mutation_same_stream_for_tuple_and_array_bounds():
             assert nsga2.uniform_mutation(vec, bounds, as_tuple, prob) == expected
             assert nsga2.uniform_mutation(vec, np.asarray(bounds), as_array, prob) == expected
     assert as_tuple.bit_generator.state == as_array.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 99, 100, 101])
+def test_tournament_same_stream_as_choice_oracle(n):
+    # ties in rank and crowding, so coins are drawn between the pair draws
+    population = [nsga2.Individual((k,), (0.0, 0.0), rank=1 + k % 2, crowding=float(k % 3)) for k in range(n)]
+    ours, oracle = np.random.default_rng(9), np.random.default_rng(9)
+    for n_pairs in (1, 7, 50):
+        assert nsga2.binary_tournament(population, n_pairs, ours) == choice_tournament(population, n_pairs, oracle)
+    assert ours.bit_generator.state == oracle.bit_generator.state
+
+
+def test_distinct_pair_is_numpys_choice():
+    ours, oracle = np.random.default_rng(10), np.random.default_rng(10)
+    for n in range(2, 301):
+        for _ in range(20):
+            assert nsga2._distinct_pair(n, ours) == tuple(oracle.choice(n, size=2, replace=False))
+        assert ours.bit_generator.state == oracle.bit_generator.state
+
+
+def test_lemire_rejects_below_numpys_threshold():
+    # r = 2**bits - 2: the threshold (2**bits - 1 - r) mod (r + 1) is 1, so the
+    # draw 0 (low bits 0) is rejected, and 5 gives the high bits of 5 * (r + 1)
+    for bits in (32, 64):
+        r = 2**bits - 2
+        assert nsga2._lemire(iter([0, 5]).__next__, r, bits) == 4
+        assert nsga2._lemire(iter([1]).__next__, r, bits) == 0
+
+
+# spans r = high - low - 1 at each branch of numpy's bounded draw and its edges
+_SPANS = [0, 1, 2, 99, 2**31, 2**32 - 2, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+@st.composite
+def _draw_calls(draw):
+    """A list of ("random",) and ("integers", low, high) calls whose bounds
+    numpy's int64 or uint64 `integers` accepts; sometimes led by a 32-bit draw,
+    so that the next 32-bit draw takes a kept half-word."""
+    calls = [("integers", 0, 100)] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 40))):
+        if draw(st.booleans()):
+            calls.append(("random",))
+            continue
+        span = draw(st.one_of(st.sampled_from(_SPANS), st.integers(0, 2**64 - 1)))
+        low = draw(st.one_of(st.integers(-50, 50), st.integers(-(2**63), 2**64 - 1)))
+        low = min(low, 2**64 - 1 - span)
+        if low < 0:
+            low = min(low, 2**63 - 1 - span)  # int64 then holds high
+        calls.append(("integers", low, low + span + 1))
+    return calls
+
+
+def _numpy_draw(rng, call):
+    if call[0] == "random":
+        return rng.random()
+    _, low, high = call
+    return int(rng.integers(low, high, dtype=np.int64 if high <= 2**63 else np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(calls=_draw_calls(), seed=st.integers(0, 2**32))
+def test_stream_matches_default_rng_call_by_call(calls, seed):
+    stream, rng = nsga2._Stream(seed), np.random.default_rng(seed)
+    for call in calls:
+        got = stream.random() if call[0] == "random" else stream.integers(call[1], call[2])
+        assert got == _numpy_draw(rng, call), call
+    # the two are at the same word and half-word: the next draws agree
+    for call in (("integers", 0, 7), ("random",), ("integers", 0, 7), ("integers", 0, 7)):
+        assert (stream.random() if call[0] == "random" else stream.integers(*call[1:])) == _numpy_draw(rng, call)
 
 
 def _pop(objs, genome_start=0):
@@ -402,6 +475,60 @@ def test_run_matches_resorting_replacement(monkeypatch, seed, problem, bounds, d
     got = nsga2.run(problem, params, directions, hv_reference)
     monkeypatch.setattr(nsga2, "replacement", resort_replacement)
     assert _search_state(got) == _search_state(nsga2.run(problem, params, directions, hv_reference))
+
+
+# a table-lookup problem: a grid of 801 x 16 x 16 genomes, each with its (f1, f2)
+GRID_BOUNDS = ((0, 800), (0, 15), (0, 15))
+_GRID_X = np.arange(801, dtype=np.float64)[:, None, None] / 800
+GRID_F1 = np.broadcast_to(_GRID_X, (801, 16, 16))
+GRID_F2 = (0.05 + 0.95 * np.sqrt(_GRID_X)) * np.exp2(-(np.arange(16)[:, None] + np.arange(16)).astype(np.float64))
+
+
+def _grid_problem(genomes, generation):
+    return [(float(GRID_F1[g]), float(GRID_F2[g])) for g in genomes]
+
+
+def _fc_shaped_problem(genomes, generation):
+    return [((g[0] * g[1] % 97) / 97, (sum(g[2:]) % 101) / 101) for g in genomes]
+
+
+def _wide_problem(genomes, generation):
+    return [(float(g[0] % 1000) / 1000, float((g[2] ^ g[3]) % 997) / 997) for g in genomes]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize(
+    "problem, params",
+    [
+        (_grid_problem, nsga2.SearchParams(100, 20, GRID_BOUNDS)),
+        # the desk-fc genome's coordinate ranges: m, E, four drops, four bit widths
+        (_fc_shaped_problem, nsga2.SearchParams(20, 20, ((1, 4), (1, 1000)) + ((0, 50),) * 4 + ((1, 32),) * 4)),
+        # spans 2**40, 0, 2**32 - 1 and 2**32 + 3: 64-bit, none, a whole 32-bit draw, 64-bit
+        (_wide_problem, nsga2.SearchParams(20, 20, ((0, 2**40), (7, 7), (0, 2**32 - 1), (-3, 2**32)))),
+    ],
+)
+def test_run_draws_as_from_default_rng(monkeypatch, seed, problem, params):
+    params = dataclasses.replace(params, seed=seed)
+    got = nsga2.run(problem, params, MIN_MAX, metrics.HV_REFERENCE)
+    monkeypatch.setattr(nsga2, "_Stream", np.random.default_rng)
+    assert _search_state(got) == _search_state(nsga2.run(problem, params, MIN_MAX, metrics.HV_REFERENCE))
+
+
+# sha256 of repr(archive) + repr(hv_archive list) of the grid search at pop
+# 100, 30 generations, taken when the search drew through numpy's Generator
+# methods: a change to the campaign's random stream changes these
+GRID_GOLDEN = {
+    1: "232ed101fa1f6a16a1f6cb83371ee123bd295b7f547acb97ad773feec37098a8",
+    2: "db0ff9f7328c3771d3782ee013546f44d495e92ddc988a3634e10d5e0fc381fb",
+    3: "f61a8b1b3c5acc2c0e77381738425d19bc41cc824ad792c2184d111bcffd337c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GRID_GOLDEN))
+def test_grid_search_golden(seed):
+    result = nsga2.run(_grid_problem, nsga2.SearchParams(100, 30, GRID_BOUNDS, seed=seed), MIN_MAX, metrics.HV_REFERENCE)
+    text = repr(result.archive) + repr([record.hv_archive for record in result.history])
+    assert hashlib.sha256(text.encode()).hexdigest() == GRID_GOLDEN[seed]
 
 
 def test_run_sorts_once_per_generation(monkeypatch):
@@ -559,6 +686,11 @@ def test_search_params_validation(monkeypatch):
         nsga2.SearchParams(7, 5, ((0, 1),))
     with pytest.raises(ValueError):
         nsga2.SearchParams(2, 5, ((0, 1),))
+    # an empty range, and one wider than a 64-bit draw
+    for bounds in (((3, 2),), ((0, 1), (0, 2**64))):
+        with pytest.raises(ValueError, match="need lo <= hi < lo"):
+            nsga2.SearchParams(4, 1, bounds)
+    nsga2.SearchParams(4, 1, ((5, 5), (0, 2**64 - 1)))
     # crossover 0.9 and mutation 1 / dimension are fixed, not parameters
     seen = {"crossover": set(), "mutation": set()}
     crossover, mutation = nsga2.single_point_crossover, nsga2.uniform_mutation
