@@ -56,13 +56,16 @@ def dominated_by(points: np.ndarray, block: np.ndarray | None = None) -> np.ndar
         block = points
     if np.isnan(points).any() or np.isnan(block).any():
         raise ValueError("objective values must not be NaN")
-    no_worse = np.ones((len(block), len(points)), bool)
-    better = np.zeros_like(no_worse)
     # 2-D comparisons one objective at a time: broadcasting over a trailing
-    # axis of size d builds d-times larger temporaries and runs slower
-    for k in range(points.shape[1]):
-        no_worse &= points[:, k] <= block[:, k, None]
-        better |= points[:, k] < block[:, k, None]
+    # axis of size d builds d-times larger temporaries and runs slower. Each
+    # objective is one contiguous row of the transposes, where a column view
+    # of the (n, d) inputs would be read with a stride of d.
+    cols, rows = np.ascontiguousarray(points.T), np.ascontiguousarray(block.T)[:, :, None]
+    no_worse = cols[0] <= rows[0]
+    better = cols[0] < rows[0]
+    for k in range(1, len(cols)):
+        no_worse &= cols[k] <= rows[k]
+        better |= cols[k] < rows[k]
     no_worse &= better
     return no_worse
 

@@ -2,9 +2,10 @@
 
 The engine is independent of the federated problem: it needs per-coordinate
 bounds, an objective direction per objective (+1 minimize, -1 maximize), and
-a batch evaluator that returns one result per genome, or run raises
-ValueError. Objective values must not be NaN: the sort, the archive and the
-hypervolume raise ValueError on one; ±inf is ordered as usual.
+a batch evaluator that returns one result per genome, each with one value
+per objective, or run raises ValueError. Objective values must not be NaN:
+the sort, the archive and the hypervolume raise ValueError on one; ±inf is
+ordered as usual.
 Operators draw from a single sequential random stream, so a fixed seed
 reproduces a run exactly regardless of how the evaluator parallelizes.
 
@@ -21,7 +22,9 @@ The operators call only `random()` and `integers(low, high)`, so they make
 the same draws from a real `Generator`.
 
 Each generation runs one non-dominated sort: `replacement` sorts parents plus
-offspring, and sets the rank and crowding of each survivor as it keeps it.
+offspring, and the sort stops peeling at the first front that fills the
+population, as no later front could be kept. `replacement` sets the rank and
+crowding of each survivor as it keeps it.
 The history holds what the search knows: each generation's first front and
 archive volume. Whoever writes it derives the rest: gen, evals, front volume.
 """
@@ -29,6 +32,7 @@ archive volume. Whoever writes it derives the rest: gen, evals, front volume.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,27 +69,43 @@ class SearchParams:
             raise ValueError("population_size must be even and at least 4")
         if self.generations < 0:
             raise ValueError("generations must be non-negative")
-        for lo, hi in self.bounds:
+        if not self.bounds:
+            raise ValueError("bounds need at least one coordinate")
+        for k, (lo, hi) in enumerate(self.bounds):
+            try:
+                # numpy integers pass; a float such as 1.5 is not truncated
+                lo, hi = operator.index(lo), operator.index(hi)
+            except TypeError:
+                raise ValueError(f"bounds ({lo!r}, {hi!r}) of coordinate {k} must be integers") from None
             if not 0 <= hi - lo < 2**64:
-                raise ValueError(f"bounds ({lo}, {hi}) need lo <= hi < lo + 2**64")
+                raise ValueError(f"bounds ({lo}, {hi}) of coordinate {k} need lo <= hi < lo + 2**64")
 
     @property
     def dimension(self) -> int:
         return len(self.bounds)
 
 
-def non_dominated_sort(objectives: Sequence[tuple[float, ...]], directions: Sequence[int]) -> Fronts:
+def non_dominated_sort(
+    objectives: Sequence[tuple[float, ...]], directions: Sequence[int], needed: int | None = None
+) -> Fronts:
     """Population indices in fronts of increasing rank, each front ascending.
-    A front is every remaining point that no remaining point dominates."""
+    A front is every remaining point that no remaining point dominates.
+    With `needed`, peeling stops at the first front that brings the fronts
+    returned to at least `needed` points: the shortest prefix of the full
+    sort that holds that many. None returns every front."""
     n = len(objectives)
     arr = np.asarray(objectives, np.float64).reshape(n, len(directions)) * np.asarray(directions)
     dominated = dominated_by(arr)
     count = dominated.sum(axis=1)
     done = np.zeros(n, bool)
     fronts = []
+    peeled, needed = 0, n if needed is None else needed
     front = np.flatnonzero(count == 0)
     while front.size:
         fronts.append(tuple(front.tolist()))
+        peeled += front.size
+        if peeled >= needed:
+            break
         done[front] = True
         count -= dominated[:, front].sum(axis=1)
         front = np.flatnonzero((count == 0) & ~done)
@@ -105,7 +125,7 @@ def crowding_distance(front_objectives: list[tuple[float, ...]]) -> list[float]:
     n_obj = len(front_objectives[0])
     for k in range(n_obj):
         values = [o[k] for o in front_objectives]
-        order = sorted(range(n), key=lambda i: values[i])
+        order = sorted(range(n), key=values.__getitem__)
         lo, hi = values[order[0]], values[order[-1]]
         if lo == hi:
             continue
@@ -154,9 +174,24 @@ class _Stream:
         r = high - low - 1
         if r == 0:
             return low
-        if r <= _MASK32:
-            return low + _lemire(self._uint32, r, 32)
-        return low + _lemire(self._word, r, 64)
+        if r > _MASK32:
+            return low + _lemire(self._word, r, 64)
+        # _lemire(self._uint32, r, 32), written out: nearly every draw of a
+        # search takes this path, and most take no rejection branch
+        n = r + 1
+        half = self._half
+        if half is None:
+            word = self._word()
+            self._half = word >> 32
+            m = (word & _MASK32) * n
+        else:
+            self._half = None
+            m = half * n
+        if m & _MASK32 < n:
+            threshold = (_MASK32 - r) % n
+            while m & _MASK32 < threshold:
+                m = self._uint32() * n
+        return low + (m >> 32)
 
 
 def _words(bitgen: np.random.PCG64):
@@ -232,8 +267,9 @@ def uniform_mutation(
     """Independently replace each coordinate, with probability mutation_prob,
     by a uniform integer from its own closed range. Every coordinate draws its
     coin first, then every coordinate its integer, whether it mutates or not."""
-    mutate = [rng.random() < mutation_prob for _ in vec]
-    draws = [rng.integers(lo, hi + 1) for lo, hi in bounds]
+    random, integers = rng.random, rng.integers
+    mutate = [random() < mutation_prob for _ in vec]
+    draws = [integers(lo, hi + 1) for lo, hi in bounds]
     return tuple(int(d) if m else v for v, d, m in zip(vec, draws, mutate, strict=True))
 
 
@@ -251,7 +287,7 @@ def replacement(parents: list[Individual], offspring: list[Individual], directio
     room = len(parents)
     objs = [ind.objectives for ind in union]
     survivors: list[Individual] = []
-    for rank, front in enumerate(non_dominated_sort(objs, directions), start=1):
+    for rank, front in enumerate(non_dominated_sort(objs, directions, room), start=1):
         dists = crowding_distance([objs[i] for i in front])
         if len(front) > room:
             order = sorted(range(len(front)), key=lambda p: -dists[p])
@@ -270,13 +306,17 @@ def replacement(parents: list[Individual], offspring: list[Individual], directio
 class Archive:
     """Every non-dominated point seen so far: `entries` maps (objectives, genome) to its generation.
 
-    `update` compares only the new points: they are filtered against each
-    other and against the archive, and the archive members a surviving new
-    point dominates are dropped. The archive is already mutually
-    non-dominated, so by transitivity of dominance this equals filtering the
-    archive and the new points together, and no two archive members are
-    ever compared. The order is the same too: archive first, then new points
-    in batch order, the first copy of an (objectives, genome) key kept.
+    `update` compares only the new points whose key is not a member's: they
+    are filtered against each other and against the archive, and the archive
+    members a surviving new point dominates are dropped. A point whose key is
+    a member's has that member's objectives, so leaving it out changes
+    nothing: no member dominates it, it dominates no member, any point it
+    dominates that member dominates too, and it would not be added again. The
+    archive is already mutually non-dominated, so by transitivity of
+    dominance this equals filtering the archive and the new points together,
+    and no two archive members are ever compared. The order is the same too:
+    archive first, then new points in batch order, the first copy of an
+    (objectives, genome) key kept.
     """
 
     def __init__(self, directions: Sequence[int]):
@@ -286,23 +326,29 @@ class Archive:
 
     def update(self, points: Sequence[tuple[tuple[float, ...], Vector]], generation: int) -> None:
         """Add the non-dominated ones of these (objectives, genome) points."""
-        objs = np.asarray([p[0] for p in points], np.float64).reshape(len(points), len(self._sign))
+        keys = [(p[0], p[1]) for p in points]
+        unknown = [key for key in keys if key not in self.entries]
+        objs = np.asarray([key[0] for key in unknown], np.float64).reshape(len(unknown), len(self._sign))
         fresh = np.asarray(pareto_filter(objs, self._sign), np.int64)
-        new = objs[fresh]
-        old = self.objectives * self._sign
-        new_kept = ~dominated_by(old, new * self._sign).any(axis=1)
+        old, new = self.objectives * self._sign, objs[fresh] * self._sign
+        new_kept = ~dominated_by(old, new).any(axis=1)
         fresh, new = fresh[new_kept], new[new_kept]
-        old_kept = ~dominated_by(new * self._sign, old).any(axis=1)
-        # del keeps the order and hashes only the keys that leave
-        for key in [key for key, kept in zip(self.entries, old_kept.tolist()) if not kept]:
-            del self.entries[key]
+        # the members a new point dominates, with the few new points as rows:
+        # under reversed directions, such a member dominates that point
+        old_kept = ~dominated_by(-old, -new).any(axis=0)
+        gone = np.flatnonzero(~old_kept).tolist()
+        if gone:
+            # del keeps the order and hashes only the keys that leave
+            members = list(self.entries)
+            for position in gone:
+                del self.entries[members[position]]
         added = []
         for row, i in enumerate(fresh.tolist()):
-            key = (points[i][0], points[i][1])
-            if key not in self.entries:
-                self.entries[key] = generation
+            if unknown[i] not in self.entries:
+                self.entries[unknown[i]] = generation
                 added.append(row)
-        self.objectives = np.concatenate([self.objectives[old_kept], new[added]])
+        if gone or added:
+            self.objectives = np.concatenate([self.objectives[old_kept], objs[fresh[added]]])
 
 
 @dataclass
@@ -334,7 +380,19 @@ def run(
     archive takes each generation's new points incrementally (see Archive):
     its members are never compared again. The result lists its entries as
     (objectives, genome, generation) tuples, in archive order.
+
+    Before it draws or evaluates anything, run raises ValueError unless
+    directions holds one or more of MINIMIZE and MAXIMIZE, and, with an
+    hv_reference, exactly two of them and two reference values. Each
+    result must hold one value per direction, or run raises ValueError
+    naming the generation and the genome.
     """
+    if len(directions) == 0 or any(d not in (MINIMIZE, MAXIMIZE) for d in directions):
+        raise ValueError(f"directions must be one or more of {MINIMIZE} (minimize) and {MAXIMIZE} (maximize),"
+                         f" got {tuple(directions)!r}")
+    if hv_reference is not None and (len(directions) != 2 or len(hv_reference) != 2):
+        raise ValueError(f"hv_reference needs two objectives and two reference values,"
+                         f" got {len(directions)} directions and {tuple(hv_reference)!r}")
     rng = _Stream(params.seed)
     bounds = [(int(lo), int(hi)) for lo, hi in params.bounds]  # the stream's arithmetic is on Python ints
     mutation_prob = 1 / params.dimension
@@ -349,8 +407,11 @@ def run(
         results = evaluate([ind.genome for ind in individuals], generation)
         if len(results) != len(individuals):
             raise ValueError(f"evaluate returned {len(results)} results for {len(individuals)} genomes")
-        for ind, objs in zip(individuals, results):
-            ind.objectives = tuple(float(v) for v in objs)
+        for index, (ind, objs) in enumerate(zip(individuals, results)):
+            ind.objectives = tuple(map(float, objs))
+            if len(ind.objectives) != len(directions):
+                raise ValueError(f"generation {generation}: the result for genome {index} holds"
+                                 f" {len(ind.objectives)} values, not {len(directions)}, one per direction")
         archive.update([(ind.objectives, ind.genome) for ind in individuals], generation)
 
     def record() -> None:

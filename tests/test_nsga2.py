@@ -95,6 +95,22 @@ def test_sort_matches_pair_loop_oracle(case):
 
 @settings(max_examples=60, deadline=None)
 @given(case=_populations())
+def test_sort_stops_at_the_first_front_that_holds_needed(case):
+    objectives, directions = case
+    full = pair_loop_sort(objectives, directions)
+    # the shortest prefix of the full sort whose fronts hold `needed` points
+    # is its first `length` fronts for every needed in (start, total]: both
+    # ends of each such range are checked
+    start = 0
+    for length, total in enumerate(itertools.accumulate(len(front) for front in full), start=1):
+        for needed in {start + 1, total}:
+            assert nsga2.non_dominated_sort(objectives, directions, needed) == full[:length]
+        start = total
+    assert nsga2.non_dominated_sort(objectives, directions, None) == full
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_populations())
 def test_pareto_filter_matches_pairwise_oracle(case):
     objectives, directions = case
     expected = [
@@ -531,13 +547,26 @@ def test_grid_search_golden(seed):
     assert hashlib.sha256(text.encode()).hexdigest() == GRID_GOLDEN[seed]
 
 
+# the same digest for the benchmark's search: the grid problem at pop 100 for
+# 300 generations, seed 901, taken when the sort peeled every front. By then
+# the archive holds nearly all 801 optimal points, and in nearly every
+# generation the first front alone fills the population
+LONG_GRID_GOLDEN = "c46d27ef2c93dd461d56015beae1c041fa2c49e527395999f286cb8a453c9e72"
+
+
+def test_long_grid_search_golden():
+    result = nsga2.run(_grid_problem, nsga2.SearchParams(100, 300, GRID_BOUNDS, seed=901), MIN_MAX, metrics.HV_REFERENCE)
+    text = repr(result.archive) + repr([record.hv_archive for record in result.history])
+    assert hashlib.sha256(text.encode()).hexdigest() == LONG_GRID_GOLDEN
+
+
 def test_run_sorts_once_per_generation(monkeypatch):
     calls = []
     original = nsga2.non_dominated_sort
 
-    def spy(objectives, directions):
+    def spy(objectives, directions, *rest):
         calls.append(len(objectives))
-        return original(objectives, directions)
+        return original(objectives, directions, *rest)
 
     monkeypatch.setattr(nsga2, "non_dominated_sort", spy)
     nsga2.run(_tie_heavy_problem, nsga2.SearchParams(10, 7, TIE_HEAVY_BOUNDS, seed=1), directions=(1, 1, 1))
@@ -691,6 +720,13 @@ def test_search_params_validation(monkeypatch):
         with pytest.raises(ValueError, match="need lo <= hi < lo"):
             nsga2.SearchParams(4, 1, bounds)
     nsga2.SearchParams(4, 1, ((5, 5), (0, 2**64 - 1)))
+    # no coordinate at all, and a bound that is not an integer
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        nsga2.SearchParams(4, 1, ())
+    for bounds in (((0, 1.5),), ((0, 3), (np.float64(0.0), 7))):
+        with pytest.raises(ValueError, match=f"coordinate {len(bounds) - 1} must be integers"):
+            nsga2.SearchParams(4, 1, bounds)
+    nsga2.SearchParams(4, 1, ((np.int64(0), np.int32(7)),))
     # crossover 0.9 and mutation 1 / dimension are fixed, not parameters
     seen = {"crossover": set(), "mutation": set()}
     crossover, mutation = nsga2.single_point_crossover, nsga2.uniform_mutation
@@ -707,3 +743,32 @@ def test_search_params_validation(monkeypatch):
     monkeypatch.setattr(nsga2, "uniform_mutation", mutation_spy)
     nsga2.run(lambda genomes, gen: [(float(sum(g)), 0.0) for g in genomes], nsga2.SearchParams(10, 3, ((0, 1),) * 5))
     assert seen == {"crossover": {0.9}, "mutation": {1 / 5}}
+
+
+@pytest.mark.parametrize(
+    "directions, hv_reference, message",
+    [
+        ((1, 1, 1), metrics.HV_REFERENCE, "two objectives"),
+        ((1, -1), (1.0, 0.0, 0.0), "two reference values"),
+        ((), None, "one or more"),
+        ((1, 0), None, "one or more"),
+    ],
+)
+def test_run_checks_directions_before_evaluating(directions, hv_reference, message):
+    calls = []
+
+    def evaluate(genomes, generation):
+        calls.append(generation)
+        return [tuple(float(v) for v in g) for g in genomes]
+
+    with pytest.raises(ValueError, match=message):
+        nsga2.run(evaluate, nsga2.SearchParams(4, 1, ((0, 3),) * 3), directions, hv_reference)
+    assert calls == []
+
+
+def test_run_rejects_a_result_of_another_length():
+    def evaluate(genomes, generation):
+        return [(float(sum(g)),) for g in genomes]
+
+    with pytest.raises(ValueError, match="generation 0: the result for genome 0 holds 1 values, not 2"):
+        nsga2.run(evaluate, nsga2.SearchParams(4, 1, ((0, 3), (0, 3))), directions=(1, 1))
