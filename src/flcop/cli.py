@@ -57,6 +57,7 @@ DEFAULTS = {
     "epochs": 1,
     "workers": 1,
     "out": "flcop-out",
+    "mnist_dir": None,  # None reads FLCOP_MNIST_DIR
 }
 
 GENERATIONS_BY_MODEL = {"fc": 300, "conv": 120}
@@ -71,14 +72,6 @@ PRESETS = {
         "pop": 8, "generations": 4, "runs": 1, "seed": 1,
     },
 }
-
-# the value types a config file may give each key; null is also accepted
-# where the default is None, and for preset and mnist_dir
-_CONFIG_TYPES = {key: (type(value),) for key, value in DEFAULTS.items() if value is not None}
-_CONFIG_TYPES.update(
-    generations=(int,), train_limit=(int,), test_limit=(int,), lr=(int, float), preset=(str,), mnist_dir=(str,)
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -96,7 +89,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mnist-dir", help="directory with the four MNIST IDX files (env FLCOP_MNIST_DIR)")
+    # an empty --mnist-dir names no directory, as an unset one does
+    p.add_argument("--mnist-dir", type=lambda path: path or None,
+                   help="directory with the four MNIST IDX files (env FLCOP_MNIST_DIR)")
     p.add_argument("--model", choices=tuple(nn.MODELS))
     p.add_argument("--n-clients", type=int)
     p.add_argument("--train-limit", type=int, help="use only the first K examples of the seeded permutation")
@@ -160,22 +155,23 @@ def _load_config_file(path: str) -> dict:
             loaded[key.strip()] = json.loads(value.strip())
     cfg = {str(k).replace("-", "_"): v for k, v in loaded.items()}
     for key, value in cfg.items():
-        if key not in _CONFIG_TYPES:
-            raise ConfigError(f"{path}: unknown key {key!r}; expected one of {', '.join(sorted(_CONFIG_TYPES))}")
-        if value is None and DEFAULTS.get(key) is None:
+        if key not in DEFAULTS and key != "preset":
+            raise ConfigError(f"{path}: unknown key {key!r}; expected one of {', '.join(sorted([*DEFAULTS, 'preset']))}")
+        if value is None and DEFAULTS.get(key) is None:  # null means the default
             continue
-        expected = _CONFIG_TYPES[key]
-        # bool is an int subclass, but true is no population size
-        if isinstance(value, bool) or not isinstance(value, expected):
-            names = " or ".join(t.__name__ for t in expected)
-            raise ConfigError(f"{path}: {key} must be {names}, got {value!r}")
-    if cfg.get("preset") is not None and cfg["preset"] not in PRESETS:
-        raise ConfigError(f"{path}: preset must be one of {', '.join(PRESETS)}, got {cfg['preset']!r}")
+        try:
+            if key != "preset":
+                metrics.check_option(key, value)
+            elif not (isinstance(value, str) and value in PRESETS):
+                raise ValueError(f"preset must be one of {', '.join(PRESETS)}, got {value!r}")
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     return cfg
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
-    """Merge flags, config file, preset, and defaults into one options dict."""
+    """Merge flags, config file, preset, and defaults into one options dict,
+    each value checked by its rule in metrics.MANIFEST_RULES."""
     try:
         file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -183,37 +179,16 @@ def resolve_options(args: argparse.Namespace) -> dict:
     preset = PRESETS.get(getattr(args, "preset", None) or file_cfg.get("preset"), {})
     options = {}
     for key, default in DEFAULTS.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            options[key] = cli_value
-        elif key in file_cfg:
-            options[key] = file_cfg[key]
-        elif key in preset:
-            options[key] = preset[key]
-        else:
-            options[key] = default
-    for key, choices in (("model", nn.MODELS), ("bounds", BOUNDS_PRESETS)):
-        if options[key] not in choices:
-            raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {options[key]!r}")
+        flag = getattr(args, key, None)
+        options[key] = flag if flag is not None else file_cfg.get(key, preset.get(key, default))
+    # every source of model has been checked: argparse's choices, the config file, a preset
     if options["generations"] is None:
         options["generations"] = GENERATIONS_BY_MODEL[options["model"]]
-    options["mnist_dir"] = getattr(args, "mnist_dir", None) or file_cfg.get("mnist_dir") or None
-
-    if options["n_clients"] < 1:
-        raise ConfigError("--n-clients must be at least 1")
-    if options["pop"] < 4 or options["pop"] % 2:
-        raise ConfigError("--pop must be even and at least 4")
-    for key in ("generations", "runs", "batch_size", "epochs", "workers", "train_limit", "test_limit"):
-        if options[key] is not None and options[key] < 1:
-            raise ConfigError(f"--{key.replace('_', '-')} must be at least 1")
-    if options["lr"] <= 0:
-        raise ConfigError("--lr must be positive")
-    try:
-        TrainConfig(options["lr"], options["batch_size"])
-    except ValueError as exc:
-        raise ConfigError(f"--lr: {exc}") from exc
-    if options["seed"] < 0 or options["init_seed"] < 0:
-        raise ConfigError("seeds must be non-negative")
+    for key, value in options.items():
+        try:
+            metrics.check_option(key, value)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return options
 
 
@@ -286,14 +261,6 @@ def _search(pool: ThreadPoolExecutor, env: EvalEnv, params: nsga2.SearchParams) 
     return nsga2.run(evaluate, params, directions=(1, -1), hv_reference=metrics.HV_REFERENCE)
 
 
-def _campaign_manifest(options: dict, bounds: Bounds) -> dict:
-    manifest = {k: options[k] for k in sorted(DEFAULTS)}
-    manifest["mnist_dir"] = str(options["mnist_dir"]) if options["mnist_dir"] else None
-    manifest["interval_max"] = bounds.interval_max
-    manifest["n_layers"] = bounds.n_layers
-    return manifest
-
-
 def cmd_optimize(args: argparse.Namespace) -> int:
     options = resolve_options(args)
     if options["model"] == "fc" and options["workers"] > 1:
@@ -309,7 +276,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     for path in sorted(out.iterdir()):
         if ours(path.name):
             path.unlink()
-    metrics.write_json(out / metrics.MANIFEST_FILE, _campaign_manifest(options, bounds))
+    metrics.write_json(out / metrics.MANIFEST_FILE, {**options, "interval_max": bounds.interval_max, "n_layers": bounds.n_layers})
 
     with ThreadPoolExecutor(options["workers"]) as pool:
         for run_id in range(1, options["runs"] + 1):

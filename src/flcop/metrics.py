@@ -4,12 +4,13 @@ Objective convention throughout: f1 (communication fraction) is minimized,
 f2 (accuracy) is maximized, both live in [0, 1], and the hypervolume
 reference point (1.0, 0.0) is the worst corner of that box.
 
-It also owns the campaign directory and a run's one in-memory form, a list
-of `GenerationRecord`s: `write_run` writes a run's records as its files,
-`read_campaign` checks every file and returns the records that were written,
-and `export_campaign` builds the merged outputs from them. A record holds a
-front and the archive's volume; a generation's number, evaluation count and
-front volume are computed here, from its place in the history and its front.
+It also owns the campaign directory, the rule of each key of campaign.json
+(`MANIFEST_RULES`, which every option's flag and config-file entry meet too),
+and a run's one in-memory form, a list of `GenerationRecord`s: `write_run`
+writes a run's records as its files, `read_campaign` checks every file and
+returns the records that were written, and `export_campaign` builds the merged
+outputs from them. A record holds a front and the archive's volume; a
+generation's number, evaluation count and front volume are computed here.
 """
 
 from __future__ import annotations
@@ -173,8 +174,9 @@ def _csv_text(header: str, rows: Iterable[Sequence]) -> str:
     return "\n".join([header, *(",".join(_fmt(v) for v in row) for row in rows)]) + "\n"
 
 
-def write_csv(path, header: str, rows: Iterable[Sequence]) -> None:
-    Path(path).write_text(_csv_text(header, rows), encoding="utf-8", newline="\n")
+def _write_text(path, text: str) -> None:
+    """The one way `metrics` writes a file: UTF-8 with LF line ends."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def read_csv(path) -> list[list[str]]:
@@ -184,7 +186,7 @@ def read_csv(path) -> list[list[str]]:
 
 def write_json(path, obj) -> None:
     """Strict JSON: a NaN or infinite float raises ValueError."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8", newline="\n")
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _pareto_text(points: Sequence[ParetoPoint]) -> str:
@@ -229,6 +231,41 @@ def is_campaign_file(name: str, runs: int) -> bool:
     return number is not None and 1 <= int(number[0]) <= runs and name in run_files(int(number[0]))
 
 
+def _is_rate(value) -> bool:
+    # TrainConfig refuses a rate that is not finite, or is 0, in float32, where SGD applies it
+    try:
+        TrainConfig(value)
+    except (ValueError, TypeError, OverflowError):
+        return False
+    return type(value) in (int, float) and value > 0
+
+
+# Every key of campaign.json, with its rule: the text an error names and the
+# test a value passes (bool is an int subclass, but true is no count). An
+# option's flag and config-file entry meet the rule of its key.
+MANIFEST_RULES = {
+    **dict.fromkeys(("batch_size", "epochs", "generations", "interval_max", "n_clients", "n_layers", "runs", "workers"),
+                    ("an integer of at least 1", lambda value: type(value) is int and value >= 1)),
+    **dict.fromkeys(("init_seed", "seed"), ("an integer of at least 0", lambda value: type(value) is int and value >= 0)),
+    **dict.fromkeys(("test_limit", "train_limit"),
+                    ("an integer of at least 1 or null", lambda value: value is None or type(value) is int and value >= 1)),
+    "bounds": (f"one of {', '.join(BOUNDS_PRESETS)}", lambda value: isinstance(value, str) and value in BOUNDS_PRESETS),
+    "lr": ("a positive number, finite and not 0 in float32", _is_rate),
+    "mnist_dir": ("a string or null", lambda value: value is None or isinstance(value, str)),
+    "model": (f"one of {', '.join(MODELS)}", lambda value: isinstance(value, str) and value in MODELS),
+    "out": ("a string", lambda value: isinstance(value, str)),
+    "pop": ("an even integer of at least 4", lambda value: type(value) is int and value >= 4 and value % 2 == 0),
+}
+
+
+def check_option(key: str, value) -> None:
+    """Raise ValueError, naming key, its rule and value, unless value meets
+    the rule of key in MANIFEST_RULES."""
+    text, holds = MANIFEST_RULES[key]
+    if not holds(value):
+        raise ValueError(f"{key} must be {text}, got {value!r}")
+
+
 def _run_texts(run_id: int, history: Sequence[GenerationRecord], hvs: Sequence[float], pop: int) -> tuple[str, str, str]:
     """The texts of run_files(run_id), given each front's volume in hvs: the final front,
     the volume trace, and one JSON line per gen g, after pop * (g + 1) evaluations."""
@@ -243,7 +280,7 @@ def write_run(out_dir, run_id: int, history: Sequence[GenerationRecord], pop: in
     """Write one run's files into out_dir from its GenerationRecords, pop evaluations per generation."""
     hvs = [hypervolume([objs for objs, _ in r.front]) for r in history]
     for name, text in zip(run_files(run_id), _run_texts(run_id, history, hvs, pop)):
-        (Path(out_dir) / name).write_text(text, encoding="utf-8", newline="\n")
+        _write_text(Path(out_dir) / name, text)
 
 
 def _finite_float(text: str) -> float:
@@ -253,16 +290,40 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def read_manifest(out_dir) -> tuple[dict, Bounds]:
+    """The manifest of the campaign in out_dir and the bounds it names. It
+    holds exactly the keys that optimize writes, each meeting its rule in
+    MANIFEST_RULES, as its flag and config-file entry do, with interval_max
+    its bounds preset's cap and n_layers its model's array count; anything
+    else, a missing file or a NaN, Infinity or 1e999 raises ValueError naming it."""
+    path = Path(out_dir) / MANIFEST_FILE
+    if not path.is_file():
+        raise ValueError(f"missing {path}")
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"), parse_float=_finite_float, parse_constant=_finite_float)
+        if not isinstance(manifest, dict):
+            raise ValueError("needs a JSON object")
+        if odd := sorted(manifest.keys() ^ MANIFEST_RULES.keys()):
+            raise ValueError(f"needs exactly the keys optimize writes, and lacks or adds {', '.join(odd)}")
+        for key in MANIFEST_RULES:
+            check_option(key, manifest[key])
+        if manifest["interval_max"] != BOUNDS_PRESETS[manifest["bounds"]]:
+            raise ValueError(f"interval_max must be {BOUNDS_PRESETS[manifest['bounds']]}, the {manifest['bounds']}"
+                             f" bounds' interval cap, got {manifest['interval_max']}")
+        n_arrays = len(MODELS[manifest["model"]]().param_shapes)
+        if manifest["n_layers"] != n_arrays:
+            raise ValueError(f"n_layers must be {n_arrays}, the {manifest['model']} model's array count, got {manifest['n_layers']}")
+    except ValueError as exc:  # a UnicodeDecodeError and a JSONDecodeError are ValueErrors too
+        raise ValueError(f"{path} is not a campaign manifest: {type(exc).__name__}: {exc}") from exc
+    return manifest, Bounds(manifest["n_clients"], manifest["n_layers"], manifest["interval_max"])
+
+
 def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[GenerationRecord]]]:
-    """The manifest, bounds and run histories of the campaign in out_dir,
-    each history the GenerationRecords that write_run wrote, after every file
-    has been checked; a malformed file, or the first missing one, raises
-    ValueError naming it. The manifest's runs, n_clients, n_layers,
-    interval_max, pop and generations are integers of at least 1, its seed
-    and init_seed integers of at least 0, its bounds a key of BOUNDS_PRESETS
-    whose interval cap is interval_max, its lr positive and accepted by
-    TrainConfig, its model a key of nn.MODELS, and n_layers that model's
-    array count. A run's generation log and hypervolume file hold one line
+    """The manifest and bounds that read_manifest returns, and the run
+    histories of the campaign in out_dir, each history the GenerationRecords
+    that write_run wrote, after every file has been checked; a malformed
+    file, or the first missing one, raises ValueError naming it. A run's
+    generation log and hypervolume file hold one line
     per gen 0 .. generations; every front in the log holds one or more points, none
     dominated by another, each with f1, f2 in [0, 1], a genome of
     2 + 2 * n_layers coordinates within bounds, and an f1 bit-equal to the
@@ -272,36 +333,8 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[GenerationRecord]]]:
     exactly what write_run writes for the fronts in its log, with evals =
     pop * (gen + 1) and each hv its front's hypervolume."""
     out = Path(out_dir)
-    path = out / MANIFEST_FILE
-    if not path.is_file():
-        raise ValueError(f"missing {path}")
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"), parse_float=_finite_float, parse_constant=_finite_float)
-        for key in ("runs", "n_clients", "n_layers", "interval_max", "pop", "generations", "seed", "init_seed"):
-            value, least = manifest[key], 0 if key.endswith("seed") else 1
-            # bool is an int subclass, but true is no count
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ValueError(f"{key} must be an integer of at least {least}, got {value!r}")
-        # an unhashable bounds raises TypeError
-        if manifest["bounds"] not in BOUNDS_PRESETS:
-            raise ValueError(f"bounds must be one of {', '.join(BOUNDS_PRESETS)}, got {manifest['bounds']!r}")
-        if manifest["interval_max"] != BOUNDS_PRESETS[manifest["bounds"]]:
-            raise ValueError(f"interval_max must be {BOUNDS_PRESETS[manifest['bounds']]}, the {manifest['bounds']}"
-                             f" bounds' interval cap, got {manifest['interval_max']}")
-        lr = manifest["lr"]
-        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not lr > 0:
-            raise ValueError(f"lr must be a positive number, got {lr!r}")
-        TrainConfig(lr)  # a rate that is not finite or is 0 in float32 raises
-        # an unhashable model raises TypeError
-        if manifest["model"] not in MODELS:
-            raise ValueError(f"model must be one of {', '.join(MODELS)}, got {manifest['model']!r}")
-        sizes = MODELS[manifest["model"]]().param_shapes
-        if manifest["n_layers"] != len(sizes):
-            raise ValueError(f"n_layers must be {len(sizes)}, the {manifest['model']} model's array count,"
-                             f" got {manifest['n_layers']}")
-        bounds = Bounds(manifest["n_clients"], manifest["n_layers"], manifest["interval_max"])
-    except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"{path} is not a campaign manifest: {type(exc).__name__}: {exc}") from exc
+    manifest, bounds = read_manifest(out)
+    sizes = MODELS[manifest["model"]]().param_shapes
     runs, pop, generations = range(1, manifest["runs"] + 1), manifest["pop"], manifest["generations"]
     # the first missing file alone: runs comes from outside and may be huge
     missing = next((name for k in runs for name in run_files(k) if not (out / name).is_file()), None)
@@ -432,8 +465,8 @@ def export_campaign(out_dir, manifest: dict, bounds: Bounds, histories: Sequence
     merged_name, stats_name, summary_name = MERGED_FILES
     run_fronts = [final_front(k, history) for k, history in enumerate(histories, start=1)]
     merged = merge_pseudo_optimal(run_fronts)
-    (out / merged_name).write_text(_pareto_text(merged), encoding="utf-8", newline="\n")
-    write_csv(out / stats_name, GENOME_STATS_HEADER, genome_stats_rows(run_fronts, bounds))
+    _write_text(out / merged_name, _pareto_text(merged))
+    _write_text(out / stats_name, _csv_text(GENOME_STATS_HEADER, genome_stats_rows(run_fronts, bounds)))
     summary = build_summary(merged, histories, manifest)
     write_json(out / summary_name, summary)
     return summary

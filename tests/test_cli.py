@@ -3,12 +3,14 @@ import multiprocessing
 import re
 import shutil
 import struct
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from flcop import cli, data, metrics, objectives
+from flcop import cli, data, metrics, nn, objectives
 from flcop.objectives import Genome
 from conftest import LayerCompressionSpec, make_synthetic, payload_bits, read_pareto_csv, write_idx
 
@@ -159,12 +161,12 @@ def _config_files(tmp_path, entries: dict) -> list:
 @pytest.mark.parametrize(
     "entries, message",
     [
-        ({"pop": "8"}, "pop must be int, got '8'"),
-        ({"runs": 2.5}, "runs must be int, got 2.5"),
-        ({"runs": True}, "runs must be int, got True"),
-        ({"pop": None}, "pop must be int, got None"),
-        ({"lr": "0.1"}, "lr must be int or float, got '0.1'"),
-        ({"model": 1}, "model must be str, got 1"),
+        ({"pop": "8"}, "pop must be an even integer of at least 4, got '8'"),
+        ({"runs": 2.5}, "runs must be an integer of at least 1, got 2.5"),
+        ({"runs": True}, "runs must be an integer of at least 1, got True"),
+        ({"pop": None}, "pop must be an even integer of at least 4, got None"),
+        ({"lr": "0.1"}, "lr must be a positive number, finite and not 0 in float32, got '0.1'"),
+        ({"model": 1}, "model must be one of fc, conv, got 1"),
         ({"popsize": 8}, "unknown key 'popsize'"),
     ],
 )
@@ -201,7 +203,8 @@ def test_eval_uses_bounds_from_config_file(tmp_path):
 
 MANIFEST = {
     "runs": 1, "model": "fc", "n_clients": 4, "n_layers": 4, "interval_max": 1000, "pop": 4, "generations": 1,
-    "bounds": "default", "lr": 0.1, "seed": 1, "init_seed": 0,
+    "bounds": "default", "lr": 0.1, "seed": 1, "init_seed": 0, "batch_size": 64, "epochs": 1, "workers": 1,
+    "train_limit": None, "test_limit": None, "out": "flcop-out", "mnist_dir": None,
 }
 
 
@@ -217,7 +220,12 @@ MANIFEST = {
             {"bounds": "xyz"}, {"bounds": ["default"]}, {"interval_max": 999}, {"bounds": "mutation-narrow"},
             {"lr": -5.0}, {"lr": 1e-50}, {"lr": 0}, {"lr": "0.1"},
             {"seed": -4}, {"seed": True}, {"init_seed": -4}, {"init_seed": 1.5},
+            {"batch_size": 0}, {"batch_size": "x"}, {"epochs": 0}, {"workers": -1}, {"workers": True},
+            {"train_limit": 0}, {"test_limit": "a"}, {"out": 5}, {"mnist_dir": 7}, {"pop": 5},
         )),
+        # a manifest without a key that optimize writes
+        *(json.dumps({k: v for k, v in MANIFEST.items() if k != key})
+          for key in ("batch_size", "epochs", "workers", "train_limit", "test_limit", "out", "mnist_dir")),
     ],
 )
 def test_report_rejects_bad_manifest(tmp_path, capsys, manifest):
@@ -225,6 +233,39 @@ def test_report_rejects_bad_manifest(tmp_path, capsys, manifest):
     assert run_cli("report", tmp_path) == 2
     assert "campaign.json" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["campaign.json"]
+
+
+def _rejects(call, error) -> bool:
+    try:
+        call()
+    except error:
+        return True
+    return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    key=st.sampled_from(sorted(cli.DEFAULTS)),
+    value=st.one_of(
+        st.integers(-2, 6), st.booleans(), st.floats(), st.text(max_size=3),
+        st.sampled_from([*nn.MODELS, *objectives.BOUNDS_PRESETS, *cli.PRESETS]), st.none(),
+    ),
+)
+def test_report_rejects_exactly_what_optimize_rejects(key, value):
+    # a null config entry means the default, so where that is null it is no value to judge
+    assume(value is not None or cli.DEFAULTS[key] is not None)
+    manifest = {**MANIFEST, key: value}
+    # optimize writes the model's array count and the bounds preset's cap with them
+    if key == "model" and value in nn.MODELS:
+        manifest["n_layers"] = nn.MODELS[value]().n_arrays
+    if key == "bounds" and value in objectives.BOUNDS_PRESETS:
+        manifest["interval_max"] = objectives.BOUNDS_PRESETS[value]
+    with tempfile.TemporaryDirectory() as out:
+        config = Path(out) / "conf.json"
+        config.write_text(json.dumps({key: value}))
+        (Path(out) / metrics.MANIFEST_FILE).write_text(json.dumps(manifest))
+        by_optimize = _rejects(lambda: _resolve_config(config), cli.ConfigError)
+        assert _rejects(lambda: metrics.read_manifest(out), ValueError) == by_optimize
 
 
 def test_report_accepts_the_base_manifest(tmp_path, capsys):
@@ -242,26 +283,27 @@ def test_odd_population_rejected(fixture_mnist_dir):
 def test_learning_rate_overflowing_float32_rejected(fixture_mnist_dir, capsys):
     for lr in ("1e39", "inf", "nan"):
         assert run_cli("optimize", "--mnist-dir", fixture_mnist_dir, "--lr", lr) == 1
-        assert "--lr" in capsys.readouterr().err
+        assert f"lr must be a positive number, finite and not 0 in float32, got {float(lr)!r}" in capsys.readouterr().err
 
 
 def test_learning_rate_rounding_to_zero_in_float32_rejected(tmp_path, capsys):
     genome = "[4,1,0,0,0,0,32,32,32,32]"
     argv = ["eval", genome, "--layer-sizes", "1,1,1,1", "--mnist-dir", tmp_path / "missing"]
     assert run_cli(*argv, "--lr", "1e-50") == 1
-    assert "--lr: learning_rate 1e-50 rounds to 0 in float32" in capsys.readouterr().err
+    assert "lr must be a positive number, finite and not 0 in float32, got 1e-50" in capsys.readouterr().err
     assert run_cli(*argv, "--lr", "1e-45") == 0
 
 
 @pytest.mark.parametrize("flag", ["--train-limit", "--test-limit"])
 def test_limits_below_one_are_config_errors(fixture_mnist_dir, tmp_path, capsys, flag):
+    key = flag[2:].replace("-", "_")
     for limit in (0, -3):
         assert run_cli("optimize", "--mnist-dir", fixture_mnist_dir, "--out", tmp_path, flag, limit) == 1
-        assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert f"{key} must be an integer of at least 1 or null, got {limit}" in capsys.readouterr().err
     cfg = tmp_path / "conf.json"
-    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): 0}))
+    cfg.write_text(json.dumps({key: 0}))
     assert run_cli("optimize", "--mnist-dir", fixture_mnist_dir, "--config", cfg) == 1
-    assert f"{flag} must be at least 1" in capsys.readouterr().err
+    assert f"{cfg}: {key} must be an integer of at least 1 or null, got 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["optimize", "baseline", "eval"])
@@ -507,7 +549,7 @@ def test_report_rejects_bad_run_count(campaign_dir, tmp_path, capsys, key, value
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert run_cli("report", out) == 2
     err = capsys.readouterr().err
-    assert f"{key} must be an integer of at least 1" in err
+    assert ("pop must be an even integer of at least 4" if key == "pop" else f"{key} must be an integer of at least 1") in err
     assert "campaign.json" in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 

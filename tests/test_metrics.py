@@ -330,7 +330,9 @@ def test_read_campaign_accepts_what_write_run_writes(pop, generations, seed, tab
     ]
     # the search keeps E <= 5, inside the narrowest preset's cap of 100
     manifest = {"runs": 2, "model": "fc", "n_clients": 3, "n_layers": 4, "interval_max": 100, "pop": pop,
-                "generations": generations, "bounds": "mutation-narrow", "lr": 0.1, "seed": seed, "init_seed": 0}
+                "generations": generations, "bounds": "mutation-narrow", "lr": 0.1, "seed": seed, "init_seed": 0,
+                "batch_size": 64, "epochs": 1, "workers": 1, "train_limit": None, "test_limit": None, "out": "flcop-out",
+                "mnist_dir": None}
     with tempfile.TemporaryDirectory() as out:
         metrics.write_json(Path(out) / metrics.MANIFEST_FILE, manifest)
         for k, history in enumerate(histories, start=1):
