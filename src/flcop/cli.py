@@ -41,24 +41,8 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
-DEFAULTS = {
-    "model": "fc",
-    "n_clients": 4,
-    "pop": 100,
-    "generations": None,  # resolved per model: fc 300, conv 120
-    "runs": 30,
-    "seed": 1,
-    "init_seed": 0,
-    "bounds": "default",
-    "train_limit": None,
-    "test_limit": None,
-    "lr": 0.1,
-    "batch_size": 64,
-    "epochs": 1,
-    "workers": 1,
-    "out": "flcop-out",
-    "mnist_dir": None,  # None reads FLCOP_MNIST_DIR
-}
+# the built-in value of each option a command takes; a null generations resolves per model
+DEFAULTS = {key: option.default for key, option in metrics.OPTIONS.items() if option.commands}
 
 GENERATIONS_BY_MODEL = {"fc": 300, "conv": 120}
 
@@ -88,49 +72,25 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_CONFIG)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    # an empty --mnist-dir names no directory, as an unset one does
-    p.add_argument("--mnist-dir", type=lambda path: path or None,
-                   help="directory with the four MNIST IDX files (env FLCOP_MNIST_DIR)")
-    p.add_argument("--model", choices=tuple(nn.MODELS))
-    p.add_argument("--n-clients", type=int)
-    p.add_argument("--train-limit", type=int, help="use only the first K examples of the seeded permutation")
-    p.add_argument("--test-limit", type=int)
-    p.add_argument("--lr", type=float, help="SGD learning rate")
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--init-seed", type=int, help="seed for the shared initial model weights")
-    p.add_argument("--config", help="JSON or key=value config file; flags override it")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="flcop", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_opt = sub.add_parser("optimize", help="run the multi-objective search campaign")
-    _add_common(p_opt)
-    p_opt.add_argument("--pop", type=int, help="population size (even, >= 4)")
-    p_opt.add_argument("--generations", type=int)
-    p_opt.add_argument("--runs", type=int)
-    p_opt.add_argument("--bounds", choices=tuple(BOUNDS_PRESETS))
-    p_opt.add_argument("--preset", choices=tuple(PRESETS))
-    p_opt.add_argument("--workers", type=int, help="parallel fitness evaluations")
-    p_opt.add_argument("--out", help="output directory")
-
-    p_base = sub.add_parser("baseline", help="evaluate the no-reduction configuration")
-    _add_common(p_base)
-    p_base.add_argument("--out", help="output directory")
-    p_base.add_argument("--trace", help="write per-round JSON lines to this file")
-    p_base.add_argument("--trace-accuracy", action="store_true")
-
-    p_eval = sub.add_parser("eval", help="evaluate one genome")
-    _add_common(p_eval)
-    p_eval.add_argument("genome", help="flat JSON array [m, E, mu_1.., b_1..], or @file")
-    p_eval.add_argument("--bounds", choices=tuple(BOUNDS_PRESETS))
-    p_eval.add_argument("--layer-sizes", help="comma-separated synthetic layer sizes: closed-form objectives only, no simulation")
-    p_eval.add_argument("--trace", help="write per-round JSON lines to this file")
-    p_eval.add_argument("--trace-accuracy", action="store_true")
+    commands = {
+        "optimize": sub.add_parser("optimize", help="run the multi-objective search campaign"),
+        "baseline": sub.add_parser("baseline", help="evaluate the no-reduction configuration"),
+        "eval": sub.add_parser("eval", help="evaluate one genome"),
+    }
+    commands["eval"].add_argument("genome", help="flat JSON array [m, E, mu_1.., b_1..], or @file")
+    for key, option in metrics.OPTIONS.items():
+        for name in option.commands:
+            commands[name].add_argument(f"--{key.replace('_', '-')}", type=option.parse, help=option.help or option.rule)
+    for name, p in commands.items():
+        p.add_argument("--config", help="JSON or key=value config file; flags override it")
+        if name != "optimize":
+            p.add_argument("--trace", help="write per-round JSON lines to this file")
+            p.add_argument("--trace-accuracy", action="store_true")
+    commands["optimize"].add_argument("--preset", choices=tuple(PRESETS))
+    commands["eval"].add_argument("--layer-sizes", help="comma-separated synthetic layer sizes: closed-form objectives only, no simulation")
 
     p_rep = sub.add_parser("report", help="regenerate merged front, genome stats, and summary from stored CSVs")
     p_rep.add_argument("dir", help="campaign output directory")
@@ -145,14 +105,18 @@ def _load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}: config JSON must be an object")
     else:
         loaded = {}
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            loaded[key.strip()] = json.loads(value.strip())
+            key, value = (part.strip() for part in line.split("=", 1))
+            try:
+                loaded[key] = json.loads(value)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}, line {number}: the value of {key} is not JSON: {value}"
+                                  f" (a string needs double quotes, as in {key} = {json.dumps(value)})") from exc
     cfg = {str(k).replace("-", "_"): v for k, v in loaded.items()}
     for key, value in cfg.items():
         if key not in DEFAULTS and key != "preset":
@@ -170,8 +134,10 @@ def _load_config_file(path: str) -> dict:
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
-    """Merge flags, config file, preset, and defaults into one options dict,
-    each value checked by its rule in metrics.MANIFEST_RULES."""
+    """Merge flags, config file, preset, and defaults into one options dict.
+    Each value is checked once by its row of metrics.OPTIONS and then put in
+    that row's one form, so equal options give equal dicts: an int lr is a
+    float, and an empty mnist_dir is null."""
     try:
         file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -180,13 +146,11 @@ def resolve_options(args: argparse.Namespace) -> dict:
     options = {}
     for key, default in DEFAULTS.items():
         flag = getattr(args, key, None)
-        options[key] = flag if flag is not None else file_cfg.get(key, preset.get(key, default))
-    # every source of model has been checked: argparse's choices, the config file, a preset
-    if options["generations"] is None:
-        options["generations"] = GENERATIONS_BY_MODEL[options["model"]]
-    for key, value in options.items():
+        value = flag if flag is not None else file_cfg.get(key, preset.get(key, default))
+        if key == "generations" and value is None:  # model comes first in the table, so it is checked
+            value = GENERATIONS_BY_MODEL[options["model"]]
         try:
-            metrics.check_option(key, value)
+            options[key] = metrics.check_option(key, value)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     return options

@@ -4,8 +4,8 @@ Objective convention throughout: f1 (communication fraction) is minimized,
 f2 (accuracy) is maximized, both live in [0, 1], and the hypervolume
 reference point (1.0, 0.0) is the worst corner of that box.
 
-It also owns the campaign directory, the rule of each key of campaign.json
-(`MANIFEST_RULES`, which every option's flag and config-file entry meet too),
+It also owns the campaign directory, the table of every campaign option
+(`OPTIONS`, from which `cli` builds its flags and checks its config files),
 and a run's one in-memory form, a list of `GenerationRecord`s: `write_run`
 writes a run's records as its files, `read_campaign` checks every file and
 returns the records that were written, and `export_campaign` builds the merged
@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -240,30 +240,60 @@ def _is_rate(value) -> bool:
     return type(value) in (int, float) and value > 0
 
 
-# Every key of campaign.json, with its rule: the text an error names and the
-# test a value passes (bool is an int subclass, but true is no count). An
-# option's flag and config-file entry meet the rule of its key.
-MANIFEST_RULES = {
-    **dict.fromkeys(("batch_size", "epochs", "generations", "interval_max", "n_clients", "n_layers", "runs", "workers"),
-                    ("an integer of at least 1", lambda value: type(value) is int and value >= 1)),
-    **dict.fromkeys(("init_seed", "seed"), ("an integer of at least 0", lambda value: type(value) is int and value >= 0)),
-    **dict.fromkeys(("test_limit", "train_limit"),
-                    ("an integer of at least 1 or null", lambda value: value is None or type(value) is int and value >= 1)),
-    "bounds": (f"one of {', '.join(BOUNDS_PRESETS)}", lambda value: isinstance(value, str) and value in BOUNDS_PRESETS),
-    "lr": ("a positive number, finite and not 0 in float32", _is_rate),
-    "mnist_dir": ("a string or null", lambda value: value is None or isinstance(value, str)),
-    "model": (f"one of {', '.join(MODELS)}", lambda value: isinstance(value, str) and value in MODELS),
-    "out": ("a string", lambda value: isinstance(value, str)),
-    "pop": ("an even integer of at least 4", lambda value: type(value) is int and value >= 4 and value % 2 == 0),
+class Option(NamedTuple):
+    """One key of campaign.json: the `rule` an error names, the test a value
+    `holds` (bool is an int subclass, but true is no count), its `default`,
+    the `commands` whose flag sets it (none for a derived key), the flag's
+    `parse`, which also maps each value that holds to its one form, and the
+    flag's `help`, which is the rule where none is given."""
+
+    rule: str
+    holds: Callable[[object], bool]
+    default: object = None
+    commands: tuple[str, ...] = ()
+    parse: Callable = int
+    help: str | None = None
+
+
+_TRAINING, _SEARCH = ("optimize", "baseline", "eval"), ("optimize",)
+_COUNT = ("an integer of at least 1", lambda value: type(value) is int and value >= 1)
+_SEED = ("an integer of at least 0", lambda value: type(value) is int and value >= 0)
+_LIMIT = ("an integer of at least 1 or null", lambda value: value is None or type(value) is int and value >= 1)
+
+# Every key of campaign.json, in the order the flags are listed. An option's
+# flag, config-file entry and manifest value meet the rule of its row.
+OPTIONS = {
+    # an empty --mnist-dir names no directory, as an unset one does
+    "mnist_dir": Option("a string or null", lambda value: value is None or isinstance(value, str), None, _TRAINING,
+                        lambda path: path or None, "directory with the four MNIST IDX files (env FLCOP_MNIST_DIR)"),
+    "model": Option(f"one of {', '.join(MODELS)}", lambda value: isinstance(value, str) and value in MODELS, "fc", _TRAINING, str),
+    "n_clients": Option(*_COUNT, 4, _TRAINING),
+    "train_limit": Option(*_LIMIT, None, _TRAINING, int, "use only the first K examples of the seeded permutation"),
+    "test_limit": Option(*_LIMIT, None, _TRAINING),
+    "lr": Option("a positive number, finite and not 0 in float32", _is_rate, 0.1, _TRAINING, float),
+    "batch_size": Option(*_COUNT, 64, _TRAINING),
+    "epochs": Option(*_COUNT, 1, _TRAINING),
+    "seed": Option(*_SEED, 1, _TRAINING),
+    "init_seed": Option(*_SEED, 0, _TRAINING, int, "seed for the shared initial model weights"),
+    "pop": Option("an even integer of at least 4", lambda value: type(value) is int and value >= 4 and value % 2 == 0, 100, _SEARCH),
+    "generations": Option(*_COUNT, None, _SEARCH),  # null resolves per model, by cli.GENERATIONS_BY_MODEL
+    "runs": Option(*_COUNT, 30, _SEARCH),
+    "bounds": Option(f"one of {', '.join(BOUNDS_PRESETS)}", lambda value: isinstance(value, str) and value in BOUNDS_PRESETS,
+                     "default", ("optimize", "eval"), str),
+    "workers": Option(*_COUNT, 1, _SEARCH, int, "parallel fitness evaluations"),
+    "out": Option("a string", lambda value: isinstance(value, str), "flcop-out", ("optimize", "baseline"), str, "output directory"),
+    "interval_max": Option(*_COUNT),
+    "n_layers": Option(*_COUNT),
 }
 
 
-def check_option(key: str, value) -> None:
-    """Raise ValueError, naming key, its rule and value, unless value meets
-    the rule of key in MANIFEST_RULES."""
-    text, holds = MANIFEST_RULES[key]
-    if not holds(value):
-        raise ValueError(f"{key} must be {text}, got {value!r}")
+def check_option(key: str, value):
+    """Value in its one form, the parse of its row in OPTIONS; ValueError,
+    naming key, its rule and value, unless value meets that row's rule."""
+    option = OPTIONS[key]
+    if not option.holds(value):
+        raise ValueError(f"{key} must be {option.rule}, got {value!r}")
+    return value if value is None else option.parse(value)
 
 
 def _run_texts(run_id: int, history: Sequence[GenerationRecord], hvs: Sequence[float], pop: int) -> tuple[str, str, str]:
@@ -293,7 +323,7 @@ def _finite_float(text: str) -> float:
 def read_manifest(out_dir) -> tuple[dict, Bounds]:
     """The manifest of the campaign in out_dir and the bounds it names. It
     holds exactly the keys that optimize writes, each meeting its rule in
-    MANIFEST_RULES, as its flag and config-file entry do, with interval_max
+    OPTIONS, as its flag and config-file entry do, with interval_max
     its bounds preset's cap and n_layers its model's array count; anything
     else, a missing file or a NaN, Infinity or 1e999 raises ValueError naming it."""
     path = Path(out_dir) / MANIFEST_FILE
@@ -303,9 +333,9 @@ def read_manifest(out_dir) -> tuple[dict, Bounds]:
         manifest = json.loads(path.read_text(encoding="utf-8"), parse_float=_finite_float, parse_constant=_finite_float)
         if not isinstance(manifest, dict):
             raise ValueError("needs a JSON object")
-        if odd := sorted(manifest.keys() ^ MANIFEST_RULES.keys()):
+        if odd := sorted(manifest.keys() ^ OPTIONS.keys()):
             raise ValueError(f"needs exactly the keys optimize writes, and lacks or adds {', '.join(odd)}")
-        for key in MANIFEST_RULES:
+        for key in OPTIONS:
             check_option(key, manifest[key])
         if manifest["interval_max"] != BOUNDS_PRESETS[manifest["bounds"]]:
             raise ValueError(f"interval_max must be {BOUNDS_PRESETS[manifest['bounds']]}, the {manifest['bounds']}"
@@ -328,10 +358,10 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[GenerationRecord]]]:
     dominated by another, each with f1, f2 in [0, 1], a genome of
     2 + 2 * n_layers coordinates within bounds, and an f1 bit-equal to the
     genome's comm_fraction over the model's layer sizes and n_clients, taken
-    once per distinct genome of a run; every hv_archive lies in
-    [0, 1], positive after a positive volume. Each run file must then be
-    exactly what write_run writes for the fronts in its log, with evals =
-    pop * (gen + 1) and each hv its front's hypervolume."""
+    once per distinct genome of a run; every hv_archive lies in [0, 1], at
+    least its front's hv and the previous hv_archive less rounding. Each run
+    file must then be exactly what write_run writes for the fronts in its log,
+    with evals = pop * (gen + 1) and each hv its front's hypervolume."""
     out = Path(out_dir)
     manifest, bounds = read_manifest(out)
     sizes = MODELS[manifest["model"]]().param_shapes
@@ -378,21 +408,25 @@ def read_campaign(out_dir) -> tuple[dict, Bounds, list[list[GenerationRecord]]]:
             archive = [float(hv_archive) for _, _, _, hv_archive in read_csv(path)]
             if len(archive) != generations + 1:
                 raise ValueError(f"needs {generations + 1} rows, one per gen 0 .. {generations}")
-            positive = False
-            for gen, (hv, hv_archive) in enumerate(zip(hvs, archive)):
+            previous = 0.0
+            for gen, (front, hv, hv_archive) in enumerate(zip(fronts, hvs, archive)):
                 if not 0.0 <= hv_archive <= 1.0:  # NaN fails too
                     raise ValueError(f"gen {gen} needs an hv_archive in [0, 1], got {hv_archive}")
-                # The archive weakly dominates the front and its own earlier
-                # entries, but the float sweep of a dominating set can come out
-                # an ulp smaller, so only positivity is checked. It survives
-                # rounding: the dominating set's first point with f2 > 0 adds a
-                # term of at least 2**-53 * f2, which cannot underflow while f2,
-                # a fraction of correct test images, is 0 or far above
-                # 2**-1022, and a float sum of non-negative terms is at least
-                # each term.
-                if (positive or hv > 0.0) and hv_archive == 0.0:
-                    raise ValueError(f"gen {gen} needs a positive hv_archive after a positive volume, hv {hv}")
-                positive = hv_archive > 0.0
+                # The archive weakly dominates the front and its previous
+                # self, so in exact arithmetic hv_archive >= max(hv, previous),
+                # but a float sweep of a dominating set can come out an ulp
+                # smaller. A sweep of n non-negative terms, each rounded at
+                # most 3 times and each partial sum once, is within a relative
+                # (n + 2) * 2**-53 of its exact area (no term nears underflow).
+                # The gen-g archive holds at most pop * (g + 1) points and its
+                # previous self fewer, so the slack below covers either
+                # comparison twice over. It is below 1 for under 2**50
+                # evaluations, so a positive volume needs a positive hv_archive.
+                floor = max(hv, previous) * (1.0 - 4 * (pop * (gen + 1) + len(front) + 4) * 2.0**-53)
+                if hv_archive < floor:
+                    raise ValueError(f"gen {gen} needs an hv_archive of at least {floor}, the larger of its front's hv"
+                                     f" {hv} and the previous hv_archive {previous} less rounding, got {hv_archive}")
+                previous = hv_archive
             history = [GenerationRecord(front, hv_archive) for front, hv_archive in zip(fronts, archive)]
             # the log first: it is the source of the other two
             for path, text in reversed(list(zip(paths, _run_texts(k, history, hvs, pop)))):

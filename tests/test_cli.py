@@ -186,11 +186,23 @@ def test_config_file_accepts_int_lr_and_null_limits(tmp_path):
         assert options["generations"] == 300 and options["mnist_dir"] is None
 
 
-def test_unreadable_config_file_is_config_error(tmp_path):
-    assert run_cli("optimize", "--config", tmp_path / "missing.json") == 1
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert run_cli("optimize", "--config", bad) == 1
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("missing.json", None, "cannot read config file"),
+        ("bad.json", "{not json", "cannot read config file"),
+        # a string without quotes is no JSON value: the line and the key are named
+        ("bad.txt", "pop = 8\nmodel = fc\n",
+         'bad.txt, line 2: the value of model is not JSON: fc (a string needs double quotes, as in model = "fc")'),
+    ],
+    ids=["missing", "not-json", "unquoted-string"],
+)
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    assert run_cli("optimize", "--config", path) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_eval_uses_bounds_from_config_file(tmp_path):
@@ -266,6 +278,31 @@ def test_report_rejects_exactly_what_optimize_rejects(key, value):
         (Path(out) / metrics.MANIFEST_FILE).write_text(json.dumps(manifest))
         by_optimize = _rejects(lambda: _resolve_config(config), cli.ConfigError)
         assert _rejects(lambda: metrics.read_manifest(out), ValueError) == by_optimize
+
+
+_VALID_VALUES = {
+    "mnist_dir": st.text(max_size=3),
+    "out": st.text(max_size=3),
+    "model": st.sampled_from(sorted(nn.MODELS)),
+    "bounds": st.sampled_from(sorted(objectives.BOUNDS_PRESETS)),
+    "lr": st.one_of(st.integers(1, 10**6), st.floats(1e-6, 1e6)),
+    "pop": st.integers(2, 500).map(lambda half: 2 * half),
+    "seed": st.integers(0, 2**40),
+    "init_seed": st.integers(0, 2**40),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.sampled_from(sorted(cli.DEFAULTS)), data=st.data())
+def test_a_flag_and_its_config_entry_resolve_to_the_same_options(key, data):
+    # so equal options write equal manifests: an int lr is a float and an
+    # empty mnist_dir is null, whichever way they are given
+    value = data.draw(_VALID_VALUES.get(key, st.integers(1, 2**40)), label="value")
+    flag = f"--{key.replace('_', '-')}={value if isinstance(value, str) else json.dumps(value)}"
+    by_flag = json.dumps(cli.resolve_options(cli.build_parser().parse_args(["optimize", flag])), sort_keys=True)
+    with tempfile.TemporaryDirectory() as out:
+        for path in _config_files(Path(out), {key: value}):
+            assert json.dumps(_resolve_config(path), sort_keys=True) == by_flag
 
 
 def test_report_accepts_the_base_manifest(tmp_path, capsys):
@@ -526,6 +563,28 @@ def test_read_campaign_takes_one_hypervolume_per_logged_front(campaign_dir, monk
     assert len(calls) == manifest["runs"] * (manifest["generations"] + 1)
 
 
+def test_an_int_lr_flag_and_config_entry_write_the_same_campaign(fixture_mnist_dir, tmp_path):
+    argv = ["optimize", "--mnist-dir", fixture_mnist_dir, "--out", tmp_path / "out", "--pop", 4, "--generations", 1, "--runs", 1]
+    assert run_cli(*argv, "--lr", 1) == 0
+    by_flag = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    assert b'"lr": 1.0,' in by_flag["campaign.json"]
+    (tmp_path / "conf.txt").write_text("lr = 1\n")
+    assert run_cli(*argv, "--config", tmp_path / "conf.txt") == 0
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == by_flag
+
+
+@pytest.mark.parametrize("edit", [{"lr": 1}, {"mnist_dir": ""}])
+def test_report_accepts_an_unnormalised_manifest(campaign_dir, tmp_path, edit):
+    # config files wrote these spellings before options were normalised
+    out = tmp_path / "campaign"
+    shutil.copytree(campaign_dir, out)
+    metrics.write_json(out / "campaign.json", {**json.loads((out / "campaign.json").read_text()), **edit})
+    manifest = (out / "campaign.json").read_bytes()
+    assert run_cli("report", out) == 0
+    assert (out / "campaign.json").read_bytes() == manifest
+    assert json.loads((out / "summary.json").read_text())["config"] == json.loads(manifest)
+
+
 def test_report_rebuilds_deleted_outputs(campaign_dir, tmp_path):
     out = tmp_path / "campaign"
     shutil.copytree(campaign_dir, out)
@@ -660,6 +719,23 @@ def _nudge_drop_percent(row):
     genes[2] += 1 if genes[2] < 50 else -1
 
 
+def _middle_hv_archive_above_last(lines):
+    """Set gen 1's hv_archive halfway from the last one to 1, so the archive volume falls after it."""
+    last = float(lines[-1].split(",")[3])
+    assert len(lines) > 3 and last < 1.0
+    cells = lines[2].split(",")
+    cells[3] = repr((last + 1.0) / 2)
+    return [*lines[:2], ",".join(cells), *lines[3:]]
+
+
+def _last_hv_archive_half_its_hv(lines):
+    """Set the last hv_archive to half its row's hv, below its own front's volume."""
+    cells = lines[-1].split(",")
+    assert float(cells[1]) > 0.0
+    cells[3] = repr(float(cells[1]) / 2)
+    return [*lines[:-1], ",".join(cells)]
+
+
 def _extra_generation(lines):
     """A well-formed row for one generation past the last, with its volumes."""
     gen, hv, evals, hv_archive = lines[-1].split(",")
@@ -704,6 +780,9 @@ def _extra_generation(lines):
         # an archive that lost the front's volume, which summary.json copies
         ("hypervolume_run2.csv", _last_row_cell(3, "0.0")),
         ("hypervolume_run1.csv", _first_row_cell(3, "0.0")),
+        # an archive volume that falls, or that lies below its front's
+        ("hypervolume_run1.csv", _middle_hv_archive_above_last),
+        ("hypervolume_run2.csv", _last_hv_archive_half_its_hv),
         # a run whose log is missing, short, or describes another run
         ("generations_run2.jsonl", lambda lines: None),
         ("generations_run1.jsonl", lambda lines: lines[:-1]),
@@ -743,6 +822,7 @@ def _extra_generation(lines):
         "no-evals", "negative-gen", "no-front-point", "no-generation-row", "other-run",
         "reversed-generations", "pareto-gen-past-last", "miscounted-last-row", "truncated-run",
         "extra-generation", "front-off-its-trace", "zero-last-hv-archive", "zero-first-hv-archive",
+        "middle-hv-archive-above-last", "last-hv-archive-half-its-hv",
         "missing-log", "short-log", "extra-log-line", "log-gen-off", "log-evals-off", "log-hv-off",
         "log-front-short", "log-front-extra-copy", "log-front-f2-off", "log-line-not-json",
         "log-line-not-an-object", "log-line-without-front", "log-nan-hv", "log-middle-f2-off",
